@@ -9,11 +9,18 @@ ground truth throughout the test suite.
 
 Relations are stored as per-source-value bitmasks over the target domain,
 which keeps propagation and the oracle fast without any dependencies.
+Propagation and the oracle share one directed relation store, ``rel[i][j]``
+for every ordered pair of variable positions, built once from the
+constraints. Its invariant is that ``rel[j][i]`` is always the transpose of
+``rel[i][j]``: the single narrowing step stores a shrunk relation together
+with its transpose, so the symmetry rule holds by construction and neither
+loop transposes on read. Both propagation loops apply the same revision step
+(compose through a third variable, intersect, narrow) and record whether any
+narrowing happened, which is what ``PropagatedBcs.narrowed()`` reports.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -244,61 +251,41 @@ class Assignment:
         return tuple(self.values[v.id] for v in bcs.variables)
 
 
-def _normalized_pairs(bcs: Bcs) -> dict[tuple[int, int], list[int]]:
-    """One relation per variable pair (i <= j by position), the intersection of
-    all given constraints in both directions; the full relation when none;
-    identity (restricted by self-loop constraints) on the diagonal."""
-    n = len(bcs.variables)
+_Store = list[list[tuple[int, ...]]]
+
+
+def _relation_store(bcs: Bcs) -> _Store:
+    """The directed relation store: ``rel[i][j]`` holds the rows of the
+    relation from variable i to variable j (by position) for every ordered
+    pair, the intersection of all given constraints between them in either
+    direction; the full relation when there are none; identity (restricted by
+    self-loop constraints) on the diagonal. ``rel[j][i]`` is always the
+    transpose of ``rel[i][j]``."""
     sizes = [len(v.domain) for v in bcs.variables]
     pos = {v.id: i for i, v in enumerate(bcs.variables)}
-    rel: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                rel[(i, i)] = [1 << x for x in range(sizes[i])]
-            else:
-                full = (1 << sizes[j]) - 1
-                rel[(i, j)] = [full] * sizes[i]
+    rel = [[tuple(1 << x for x in range(si)) if i == j else ((1 << sj) - 1,) * si
+            for j, sj in enumerate(sizes)] for i, si in enumerate(sizes)]
     for c in bcs.constraints:
         i, j = pos[c.source], pos[c.target]
-        if i == j:
-            rows = rel[(i, i)]
-            for x in range(sizes[i]):
-                rows[x] &= c.rows[x]
-        elif i < j:
-            rows = rel[(i, j)]
-            for x in range(sizes[i]):
-                rows[x] &= c.rows[x]
-        else:
-            rows = rel[(j, i)]
-            t = _transpose_rows(c.rows, sizes[j])
-            for x in range(sizes[j]):
-                rows[x] &= t[x]
+        _narrow(rel, i, j, tuple(a & b for a, b in zip(rel[i][j], c.rows)))
     return rel
 
 
-class _PairView:
-    """Directed read/write access to the i<=j relation store used by propagation."""
+def _narrow(rel: _Store, x: int, y: int, rows: tuple[int, ...]) -> bool:
+    """Store ``rows``, a subset of ``rel[x][y]``, as the x->y relation and its
+    transpose as y->x; returns True when the relation shrank."""
+    if rows == rel[x][y]:
+        return False
+    rel[x][y] = rows
+    rel[y][x] = _transpose_rows(rows, len(rel[y][x]))
+    return True
 
-    def __init__(self, rel: dict[tuple[int, int], list[int]], sizes: list[int]):
-        self.rel = rel
-        self.sizes = sizes
 
-    def rows(self, a: int, b: int) -> list[int]:
-        if a <= b:
-            return self.rel[(a, b)]
-        return list(_transpose_rows(self.rel[(b, a)], self.sizes[a]))
-
-    def assign(self, a: int, b: int, rows: Sequence[int]) -> bool:
-        """Store the directed relation a->b; returns True when it shrank."""
-        if a <= b:
-            stored, new = self.rel[(a, b)], list(rows)
-        else:
-            stored, new = self.rel[(b, a)], list(_transpose_rows(rows, self.sizes[b]))
-        if new == stored:
-            return False
-        self.rel[(a if a <= b else b, b if a <= b else a)][:] = new
-        return True
+def _revise(rel: _Store, x: int, t: int, y: int) -> bool:
+    """One inference step: narrow x->y to its intersection with the
+    composition x->t->y (transitivity plus intersection)."""
+    via = _compose_rows(rel[x][t], rel[t][y])
+    return _narrow(rel, x, y, tuple(c & v for c, v in zip(rel[x][y], via)))
 
 
 @dataclass(frozen=True)
@@ -306,14 +293,16 @@ class PropagatedBcs:
     """The greatest fixed point of the inference rules over all variable pairs.
 
     ``psi`` maps every ordered pair (including the diagonal) to its minimal
-    derived correspondence; ``initial`` holds the normalized input relations
-    for narrowing reports; ``has_empty`` records whether some derived
+    derived correspondence; ``psi[(y, x)]`` is always the inverse of
+    ``psi[(x, y)]``. ``shrank`` records whether propagation narrowed any
+    relation of the normalized input (the intersection of the given
+    constraints per pair); ``has_empty`` records whether some derived
     correspondence is everywhere-empty (the refutation signal).
     """
 
     bcs: Bcs
     psi: Mapping[tuple[str, str], Correspondence]
-    initial: Mapping[tuple[str, str], Correspondence]
+    shrank: bool
     has_empty: bool
     sweeps: int | None = None
 
@@ -324,28 +313,16 @@ class PropagatedBcs:
         return self.psi[key]
 
     def narrowed(self) -> bool:
-        return any(self.psi[k].rows != self.initial[k].rows for k in self.psi)
+        return self.shrank
 
 
-def _package(bcs: Bcs, rel: dict[tuple[int, int], list[int]],
-             init: dict[tuple[int, int], list[int]], sweeps: int | None) -> PropagatedBcs:
+def _package(bcs: Bcs, rel: _Store, shrank: bool, sweeps: int | None) -> PropagatedBcs:
     names = [v.id for v in bcs.variables]
     doms = [v.domain for v in bcs.variables]
-
-    def corr(i, j, rows):
-        return Correspondence(names[i], names[j], doms[i], doms[j], tuple(rows))
-
-    psi: dict[tuple[str, str], Correspondence] = {}
-    initial: dict[tuple[str, str], Correspondence] = {}
-    n = len(names)
-    for i in range(n):
-        for j in range(n):
-            rows = rel[(i, j)] if i <= j else _transpose_rows(rel[(j, i)], len(doms[i]))
-            rows0 = init[(i, j)] if i <= j else _transpose_rows(init[(j, i)], len(doms[i]))
-            psi[(names[i], names[j])] = corr(i, j, rows)
-            initial[(names[i], names[j])] = corr(i, j, rows0)
+    psi = {(names[i], names[j]): Correspondence(names[i], names[j], doms[i], doms[j], rows)
+           for i, row in enumerate(rel) for j, rows in enumerate(row)}
     has_empty = any(c.is_everywhere_empty() for c in psi.values())
-    return PropagatedBcs(bcs, psi, initial, has_empty, sweeps)
+    return PropagatedBcs(bcs, psi, shrank, has_empty, sweeps)
 
 
 def path_consistency(bcs: Bcs) -> PropagatedBcs:
@@ -356,45 +333,32 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     :func:`path_consistency_sweeps`; empty relations are a legitimate result
     signaling unsatisfiability evidence, never an error.
     """
-    n = len(bcs.variables)
-    sizes = [len(v.domain) for v in bcs.variables]
-    rel = _normalized_pairs(bcs)
-    init = {k: list(v) for k, v in rel.items()}
-    view = _PairView(rel, sizes)
-
-    queue = deque(sorted(rel.keys()))
+    rel = _relation_store(bcs)
+    n = len(rel)
+    queue = deque((a, b) for a in range(n) for b in range(a, n))
     queued = set(queue)
-
-    def touch(a: int, b: int) -> None:
-        key = (min(a, b), max(a, b))
-        if key not in queued:
-            queued.add(key)
-            queue.append(key)
-
+    shrank = False
     while queue:
         a, b = queue.popleft()
         queued.discard((a, b))
         for k in range(n):
             # shrink (a,k) through b, and (b,k) through a
             for (x, t, y) in ((a, b, k), (b, a, k)):
-                via = _compose_rows(view.rows(x, t), view.rows(t, y))
-                cur = view.rows(x, y)
-                new = [c & v for c, v in zip(cur, via)]
-                if view.assign(x, y, new):
-                    touch(x, y)
-    return _package(bcs, rel, init, None)
+                if _revise(rel, x, t, y):
+                    shrank = True
+                    key = (min(x, y), max(x, y))
+                    if key not in queued:
+                        queued.add(key)
+                        queue.append(key)
+    return _package(bcs, rel, shrank, None)
 
 
 def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
     """Naive repeated-inference loop: full sweeps over all ordered variable
     triples until a sweep makes no progress. Records the sweep count, which is
     bounded by (number of variables)^2 * (max domain size)^2."""
-    n = len(bcs.variables)
-    sizes = [len(v.domain) for v in bcs.variables]
-    rel = _normalized_pairs(bcs)
-    init = {k: list(v) for k, v in rel.items()}
-    view = _PairView(rel, sizes)
-
+    rel = _relation_store(bcs)
+    n = len(rel)
     sweeps = 0
     progress = True
     while progress:
@@ -403,12 +367,10 @@ def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
         for x in range(n):
             for t in range(n):
                 for y in range(n):
-                    via = _compose_rows(view.rows(x, t), view.rows(t, y))
-                    cur = view.rows(x, y)
-                    new = [c & v for c, v in zip(cur, via)]
-                    if view.assign(x, y, new):
+                    if _revise(rel, x, t, y):
                         progress = True
-    return _package(bcs, rel, init, sweeps)
+    # a sweep without progress ends the loop, so any narrowing takes two
+    return _package(bcs, rel, sweeps > 1, sweeps)
 
 
 def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]:
@@ -417,57 +379,44 @@ def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]
     Variables are assigned in listed order, values tried in domain order, with
     forward checking against all constraints touching assigned variables; the
     output order is deterministic. Returns at most `limit` assignments when
-    given. This oracle deliberately uses no propagation-derived information.
+    given. The search keeps an explicit stack, so its depth is not bounded by
+    the recursion limit. This oracle deliberately uses no propagation-derived
+    information: it reads the normalized relation store only.
     """
     if limit is not None and limit <= 0:
         return []
-    n = len(bcs.variables)
-    sizes = [len(v.domain) for v in bcs.variables]
-    rel = _normalized_pairs(bcs)
-
-    directed: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (i, j), rows in rel.items():
-        if i == j:
-            continue
-        directed[(i, j)] = tuple(rows)
-        directed[(j, i)] = _transpose_rows(rows, sizes[j])
-
-    cand = []
-    for i in range(n):
-        mask = 0
-        diag = rel[(i, i)]
-        for x in range(sizes[i]):
-            if diag[x] >> x & 1:
-                mask |= 1 << x
-        cand.append(mask)
-
+    rel = _relation_store(bcs)
+    n = len(rel)
     names = [v.id for v in bcs.variables]
     domains = [v.domain for v in bcs.variables]
     found: list[Assignment] = []
     chosen = [0] * n
-
-    def backtrack(depth: int, masks: list[int]) -> bool:
+    # stack[d][j] (j >= d): the values of variable j consistent with the
+    # values chosen for variables before d; stack[d][d] shrinks as tried
+    stack = [[sum(1 << x for x, row in enumerate(rel[i][i]) if row >> x & 1)
+              for i in range(n)]]
+    while stack:
+        depth = len(stack) - 1
+        masks = stack[depth]
         if depth == n:
             found.append(Assignment({names[i]: domains[i][chosen[i]] for i in range(n)}))
-            return limit is not None and len(found) >= limit
-        avail = masks[depth]
-        while avail:
-            x = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            chosen[depth] = x
-            nxt = list(masks)
-            dead = False
-            for j in range(depth + 1, n):
-                if (depth, j) in directed:
-                    nxt[j] &= directed[(depth, j)][x]
-                if nxt[j] == 0:
-                    dead = True
-                    break
-            if not dead and backtrack(depth + 1, nxt):
-                return True
-        return False
-
-    backtrack(0, cand)
+            if limit is not None and len(found) >= limit:
+                break
+            stack.pop()
+            continue
+        if not masks[depth]:
+            stack.pop()
+            continue
+        x = (masks[depth] & -masks[depth]).bit_length() - 1
+        masks[depth] &= masks[depth] - 1
+        chosen[depth] = x
+        nxt = list(masks)
+        for j in range(depth + 1, n):
+            nxt[j] &= rel[depth][j][x]
+            if nxt[j] == 0:
+                break
+        else:
+            stack.append(nxt)
     return found
 
 

@@ -22,7 +22,7 @@ from . import reductions, serialize
 from .bcs import enumerate_satisfying, path_consistency
 from .closedness import is_join_closed, is_max_closed, search_max_orders
 from .errors import InputError
-from .si import DecisionMode, decide_si, find_any_si, find_si_on
+from .si import DecisionMode, decide_si, find_any_si, find_si_on, verify_certificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,17 +122,18 @@ def cmd_find_si(args, report) -> int:
     pref = _load_pref(args.pref, bcs, games)
     mode = _parse_mode(args.mode)
     orders, joins = _load_certificates(args, bcs)
+    # verified here once; the searches below then need no certificate
+    certified = verify_certificate(bcs, mode, orders, joins)
     if args.on:
-        improvers = find_si_on(bcs, args.on, pref, strict=args.strict,
-                               mode=mode, orders=orders, joins=joins)
+        improvers = find_si_on(bcs, args.on, pref, strict=args.strict, mode=mode)
         pairs = [(args.on, y) for y in improvers]
     else:
-        pairs = find_any_si(bcs, pref, strict=args.strict,
-                            mode=mode, orders=orders, joins=joins)
+        pairs = find_any_si(bcs, pref, strict=args.strict, mode=mode)
     report["pairs"] = [list(p) for p in pairs]
     report["mode"] = mode.value
     report["strict"] = args.strict
-    _warn_uncertified(report, mode, False)
+    report["certified"] = certified
+    _warn_uncertified(report, mode, certified)
     for x, y in pairs:
         print(f"{y} safely improves on {x}")
     print(f"{len(pairs)} improvement pair(s)")

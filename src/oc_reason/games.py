@@ -39,7 +39,10 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {value!r}") from exc
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
+        try:
+            return Fraction(int(value[0]), int(value[1]))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot interpret {value!r} as an exact rational") from exc
     raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -55,6 +55,21 @@ def read_json(path: str | Path):
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``; InputError when obj is not a JSON object or lacks the key."""
+    if not isinstance(obj, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise InputError(f"{what} is missing {key!r}")
+    return obj[key]
+
+
+def _pair(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InputError(f"{what} must be a two-element list, got {value!r}")
+    return tuple(value)
+
+
 def payoff_to_json(value: Fraction):
     return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
@@ -110,21 +125,16 @@ def bcs_from_json(obj: Mapping, base_dir: str | Path | None = None
                   ) -> tuple[Bcs, dict[str, NormalFormGame]]:
     """Parse a BCS file; resolves any referenced game files (relative to
     `base_dir`) or inline game objects and returns them keyed by variable id."""
-    if "variables" not in obj:
-        raise InputError("BCS object is missing 'variables'")
-    variables = tuple(Variable(v["id"], tuple(v["domain"])) for v in obj["variables"])
+    variables = tuple(Variable(_field(v, "id", "variable"), tuple(_field(v, "domain", "variable")))
+                      for v in _field(obj, "variables", "BCS object"))
     domains = {v.id: v.domain for v in variables}
     constraints = []
     for c in obj.get("constraints", ()):
-        for key in ("x", "y", "pairs"):
-            if key not in c:
-                raise InputError(f"constraint object is missing {key!r}")
-        if c["x"] not in domains or c["y"] not in domains:
-            raise InputError(f"constraint references unknown variables "
-                             f"({c['x']!r}, {c['y']!r})")
+        x, y, pairs = (_field(c, key, "constraint object") for key in ("x", "y", "pairs"))
+        if x not in domains or y not in domains:
+            raise InputError(f"constraint references unknown variables ({x!r}, {y!r})")
         constraints.append(Correspondence.from_pairs(
-            c["x"], c["y"], domains[c["x"]], domains[c["y"]],
-            [tuple(p) for p in c["pairs"]]))
+            x, y, domains[x], domains[y], [_pair(p, "constraint pair") for p in pairs]))
     games: dict[str, NormalFormGame] = {}
     for var_id, ref in (obj.get("games") or {}).items():
         if isinstance(ref, str):
@@ -147,18 +157,19 @@ def orders_to_json(orders: Mapping[str, Sequence[str]]) -> dict:
 
 
 def orders_from_json(obj: Mapping) -> dict[str, tuple[str, ...]]:
-    if "orders" not in obj:
-        raise InputError("orders file is missing 'orders'")
-    return {k: tuple(v) for k, v in obj["orders"].items()}
+    orders = _field(obj, "orders", "orders file")
+    if not isinstance(orders, Mapping) or \
+            not all(isinstance(v, list) for v in orders.values()):
+        raise InputError("'orders' must map variable ids to lists of values")
+    return {k: tuple(v) for k, v in orders.items()}
 
 
 def semilattices_from_json(obj: Mapping, bcs: Bcs) -> dict[str, dict[tuple[str, str], str]]:
-    if "semilattices" not in obj:
-        raise InputError("semilattice file is missing 'semilattices'")
     out = {}
-    for var_id, spec in obj["semilattices"].items():
-        domain = bcs.domain(var_id)
-        out[var_id] = join_table_from_hasse(domain, [tuple(e) for e in spec["edges"]])
+    for var_id, spec in _field(obj, "semilattices", "semilattice file").items():
+        edges = _field(spec, "edges", f"semilattice of {var_id!r}")
+        out[var_id] = join_table_from_hasse(
+            bcs.domain(var_id), [_pair(e, "semilattice edge") for e in edges])
     return out
 
 
@@ -189,8 +200,8 @@ def preference_from_json(obj: Mapping, bcs: Bcs,
         domains = {v.id: v.domain for v in bcs.variables}
         pairs = []
         for entry in obj.get("geq", ()):
-            (va, oa), (vb, ob) = entry
-            pairs.append(((va, oa), (vb, ob)))
+            pairs.append(tuple(_pair(side, "preference outcome")
+                               for side in _pair(entry, "preference entry")))
         return Preference.from_pairs(domains, pairs)
     raise InputError(f"unknown preference kind {kind!r}")
 
@@ -198,11 +209,11 @@ def preference_from_json(obj: Mapping, bcs: Bcs,
 def selection_from_json(obj: Mapping) -> AssumptionSelection:
     risk = []
     for entry in obj.get("decreasing_risk", ()):
-        a1 = entry["a1"]
-        a2 = entry["a2"]
+        g1, g2 = (_field(entry, key, "decreasing-risk entry") for key in ("g1", "g2"))
+        a1, a2 = (_pair(_field(entry, key, "decreasing-risk entry"), f"{key!r} profiles")
+                  for key in ("a1", "a2"))
         risk.append(DecreasingRiskPair(
-            entry["g1"], entry["g2"],
-            tuple(a1[0]), tuple(a2[0]), tuple(a1[1]), tuple(a2[1])))
+            g1, g2, tuple(a1[0]), tuple(a2[0]), tuple(a1[1]), tuple(a2[1])))
     return AssumptionSelection(
         dominance=bool(obj.get("dominance", False)),
         isomorphism=bool(obj.get("isomorphism", False)),

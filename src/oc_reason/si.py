@@ -185,6 +185,27 @@ def _check_pref_matches(bcs: Bcs, pref: Preference, x: str, y: str) -> None:
                 f"preference domain for {var!r} does not match the structure")
 
 
+def verify_certificate(bcs: Bcs, mode: DecisionMode,
+                       orders: Mapping[str, tuple[str, ...]] | None = None,
+                       joins: Mapping[str, Mapping[tuple[str, str], str]] | None = None) -> bool:
+    """Whether the supplied certificate makes `mode`'s verdicts complete.
+
+    Orders certify propagation mode (max-closedness), joins certify
+    refutation mode (join-closedness); exact mode needs no certificate and a
+    certificate for another mode is ignored. The certificate for `mode` is
+    verified, and one that fails raises.
+    """
+    if mode is DecisionMode.PROPAGATION and orders is not None:
+        report, claim = is_max_closed(bcs, orders), "orders do not certify max-closedness"
+    elif mode is DecisionMode.REFUTATION and joins is not None:
+        report, claim = is_join_closed(bcs, joins), "joins do not certify join-closedness"
+    else:
+        return False
+    if not report.closed:
+        raise InputError(f"supplied {claim}: {report.witness}")
+    return True
+
+
 def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
               mode: DecisionMode = DecisionMode.EXACT,
               orders: Mapping[str, tuple[str, ...]] | None = None,
@@ -197,13 +218,13 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     propagation fixed point (complete on max-closed structures). refutation:
     add the non-improvement correspondence, propagate, and answer yes iff an
     everywhere-empty correspondence is derived (complete on join-closed
-    structures). Supplied order/join certificates are verified and failures
-    raise.
+    structures). Supplied order/join certificates are checked by
+    :func:`verify_certificate`.
     """
     bcs.var(x), bcs.var(y)
     _check_pref_matches(bcs, pref, x, y)
     claim = improvement_oc(x, y, pref, strict)
-    certified = False
+    certified = verify_certificate(bcs, mode, orders, joins)
 
     if mode is DecisionMode.EXACT:
         witnesses = enumerate_satisfying(bcs.with_constraints([claim.complement()]), limit=1)
@@ -212,21 +233,9 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
         return SiVerdict(True, mode)
 
     if mode is DecisionMode.PROPAGATION:
-        if orders is not None:
-            report = is_max_closed(bcs, orders)
-            if not report.closed:
-                raise InputError(f"supplied orders do not certify max-closedness: "
-                                 f"{report.witness}")
-            certified = True
         return SiVerdict(derivable(path_consistency(bcs), claim), mode, certified=certified)
 
     if mode is DecisionMode.REFUTATION:
-        if joins is not None:
-            report = is_join_closed(bcs, joins)
-            if not report.closed:
-                raise InputError(f"supplied joins do not certify join-closedness: "
-                                 f"{report.witness}")
-            certified = True
         propagated = path_consistency(bcs.with_constraints([claim.complement()]))
         return SiVerdict(propagated.has_empty, mode, certified=certified)
 
@@ -236,18 +245,22 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
 def find_si_on(bcs: Bcs, x: str, pref: Preference, strict: bool = False,
                mode: DecisionMode = DecisionMode.EXACT,
                orders=None, joins=None) -> list[str]:
-    """All variables that (strictly) safely improve on x, in variable order."""
+    """All variables that (strictly) safely improve on x, in variable order.
+    A supplied certificate is verified once, not per variable."""
     bcs.var(x)
+    verify_certificate(bcs, mode, orders, joins)
     return [v.id for v in bcs.variables if v.id != x and
-            decide_si(bcs, x, v.id, pref, strict, mode, orders, joins).yes]
+            decide_si(bcs, x, v.id, pref, strict, mode).yes]
 
 
 def find_any_si(bcs: Bcs, pref: Preference, strict: bool = False,
                 mode: DecisionMode = DecisionMode.EXACT,
                 orders=None, joins=None) -> list[tuple[str, str]]:
-    """All ordered pairs (x, y), x != y, where y safely improves on x."""
+    """All ordered pairs (x, y), x != y, where y safely improves on x.
+    A supplied certificate is verified once, not per pair."""
+    verify_certificate(bcs, mode, orders, joins)
     out = []
     for a, b in itertools.permutations([v.id for v in bcs.variables], 2):
-        if decide_si(bcs, a, b, pref, strict, mode, orders, joins).yes:
+        if decide_si(bcs, a, b, pref, strict, mode).yes:
             out.append((a, b))
     return out

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from oc_reason import (
+    Assignment,
     Bcs,
     Correspondence,
     InputError,
@@ -36,6 +38,36 @@ def random_relation(rng, src, tgt, sd, td, p=0.5):
 
 
 DOM3 = ("u", "v", "w")
+
+
+def seeded_structures(seed, count, max_vars=9):
+    """Random structures of up to `max_vars` variables (domains up to 4) at
+    densities 0.3/0.6/0.9; every other one also carries reversed, duplicate
+    and self-loop constraints, so that every direction of the store is fed."""
+    rng = random.Random(seed)
+    for k in range(count):
+        b = random_bcs(rng, rng.randint(1, max_vars), 4, density=(0.3, 0.6, 0.9)[k % 3])
+        if k % 2:
+            extra = []
+            for _ in range(rng.randint(1, 3)):
+                x, y = rng.choice(b.variables), rng.choice(b.variables)
+                if x.id == y.id:
+                    extra.append(rel(x.id, x.id, x.domain, x.domain,
+                                     [(a, a) for a in x.domain if rng.random() < 0.8]))
+                else:
+                    extra.append(random_relation(rng, y.id, x.id, y.domain, x.domain, p=0.7))
+            b = b.with_constraints(extra)
+        yield b
+
+
+def given_relation(b, x, y):
+    """The intersection of the given constraints between x and y, read as a
+    relation from x to y: identity on the diagonal, full when unconstrained."""
+    acc = Correspondence.identity(x, b.domain(x)) if x == y else \
+        Correspondence.full(x, y, b.domain(x), b.domain(y))
+    for c in b.constraint_pairs(x, y):
+        acc = intersect(acc, c if c.source == x else inverse(c))
+    return acc
 
 
 class TestAlgebra:
@@ -156,12 +188,20 @@ class TestPathConsistency:
                     assert again.pair(x.id, y.id).rows == prop.pair(x.id, y.id).rows
 
     def test_worklist_equals_naive_sweeps(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            b = random_bcs(rng, rng.randint(1, 5), 4)
+        for b in seeded_structures(17, 90):
             fast = path_consistency(b)
             slow = path_consistency_sweeps(b)
+            assert fast.psi.keys() == slow.psi.keys()
             assert all(fast.psi[k].rows == slow.psi[k].rows for k in fast.psi)
+            assert (fast.has_empty, fast.narrowed()) == (slow.has_empty, slow.narrowed())
+
+    def test_narrowed_means_some_pair_left_its_given_relation(self):
+        for b in seeded_structures(25, 90):
+            prop = path_consistency(b)
+            names = [v.id for v in b.variables]
+            moved = any(prop.pair(x, y).rows != given_relation(b, x, y).rows
+                        for x, y in itertools.product(names, repeat=2))
+            assert prop.narrowed() == moved
 
     def test_sweep_bound(self):
         rng = random.Random(18)
@@ -211,6 +251,29 @@ class TestOracle:
         pinned = b.with_constraints([
             pin("X", b.domain("X"), "x2"), pin("Y", b.domain("Y"), "y2")])
         assert enumerate_satisfying(pinned) == []
+
+    def test_equals_brute_force_in_order(self):
+        for b in seeded_structures(26, 45, max_vars=8):
+            brute = [values for values in itertools.product(*(v.domain for v in b.variables))
+                     if Assignment(dict(zip((v.id for v in b.variables), values))).satisfies(b)]
+            assert [s.as_tuple(b) for s in enumerate_satisfying(b)] == brute
+            assert [s.as_tuple(b) for s in enumerate_satisfying(b, limit=3)] == brute[:3]
+
+    def test_deeper_than_the_recursion_limit(self):
+        # a two-value equality chain: one solution per value
+        n = 400
+        dom = ("a", "b")
+        names = [f"V{i}" for i in range(n)]
+        b = Bcs.create([(x, dom) for x in names],
+                       [rel(x, y, dom, dom, [("a", "a"), ("b", "b")])
+                        for x, y in zip(names, names[1:])])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(n // 2)
+        try:
+            sols = enumerate_satisfying(b)
+        finally:
+            sys.setrecursionlimit(old)
+        assert [s.as_tuple(b) for s in sols] == [("a",) * n, ("b",) * n]
 
     def test_every_result_satisfies(self):
         rng = random.Random(20)

@@ -106,6 +106,36 @@ class TestFindSi:
         assert main(["find-si", str(bcs), "--pref", f"@{pref}"]) == 3
 
 
+    def test_verified_orders_are_reported_certified(self, trio_file, tmp_path, capsys):
+        orders = tmp_path / "orders.json"
+        assert main(["closedness", str(trio_file), "--search", "--dump", str(orders)]) == 0
+        report = tmp_path / "report.json"
+        code = main(["--json", str(report), "find-si", str(trio_file), "--pref", "pareto",
+                     "--mode", "propagation", "--orders", str(orders)])
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["certified"] is True and data["warnings"] == []
+        assert "warning" not in capsys.readouterr().out
+
+    def test_uncertified_search_warns(self, trio_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        main(["--json", str(report), "find-si", str(trio_file), "--pref", "pareto",
+              "--mode", "refutation"])
+        data = json.loads(report.read_text())
+        assert data["certified"] is False and len(data["warnings"]) == 1
+
+    def test_broken_orders_exit_1(self, montanari_file, tmp_path, capsys):
+        bcs = serialize.load_bcs(montanari_file)[0]
+        orders, pref = tmp_path / "orders.json", tmp_path / "pref.json"
+        serialize.write_json(orders, serialize.orders_to_json(
+            {v.id: v.domain for v in bcs.variables}))
+        serialize.write_json(pref, {"kind": "explicit", "geq": []})
+        code = main(["find-si", str(montanari_file), "--pref", f"@{pref}",
+                     "--mode", "propagation", "--orders", str(orders)])
+        assert code == 1
+        assert "orders do not certify" in capsys.readouterr().err
+
+
 class TestClosedness:
     def test_join_certificate(self, tmp_path, capsys):
         assert main(["gen", "join-incompleteness", "--out", str(tmp_path)]) == 0

@@ -160,3 +160,39 @@ class TestSelectionFormat:
         sel = serialize.selection_from_json(obj)
         assert sel.dominance and sel.isomorphism and not sel.nash
         assert sel.decreasing_risk == (labeling,)
+
+
+PAIR_BCS = {"variables": [{"id": "X", "domain": ["a", "b"]}, {"id": "Y", "domain": ["a", "b"]}],
+            "constraints": []}
+ONE_GAME = {"name": "G", "players": 2, "actions": [["a"], ["a"]], "utilities": {"a,a": [1, 1]}}
+
+
+@pytest.mark.parametrize("files, argv", [
+    pytest.param({"bcs.json": {"variables": [{"domain": ["a"]}]}},
+                 ["solve", "bcs.json"], id="variable-without-id"),
+    pytest.param({"bcs.json": {**PAIR_BCS, "constraints": [
+                     {"x": "X", "y": "Y", "pairs": [["a"]]}]}},
+                 ["solve", "bcs.json"], id="one-element-constraint-pair"),
+    pytest.param({"bcs.json": PAIR_BCS, "joins.json": {"semilattices": {"X": {}}}},
+                 ["closedness", "bcs.json", "--joins", "joins.json"],
+                 id="semilattice-without-edges"),
+    pytest.param({"g.json": ONE_GAME, "sel.json": {"decreasing_risk": [
+                     {"g1": "G", "g2": "G", "a2": [["a", "a"], ["a", "a"]]}]}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-without-a1"),
+    pytest.param({"bcs.json": PAIR_BCS, "pref.json": {"kind": "explicit", "geq": [[["X", "a"]]]}},
+                 ["check-si", "bcs.json", "X", "Y", "--pref", "@pref.json"],
+                 id="explicit-preference-entry-not-two-outcomes"),
+    pytest.param({"bcs.json": PAIR_BCS, "orders.json": {"orders": 5}},
+                 ["closedness", "bcs.json", "--orders", "orders.json"], id="orders-not-a-map"),
+    pytest.param({"g.json": {**ONE_GAME, "utilities": {"a,a": [[1, 0], 1]}}},
+                 ["assume", "g.json", "--out", "out.json"], id="zero-denominator-payoff"),
+])
+def test_malformed_input_exits_1_without_traceback(files, argv, tmp_path, monkeypatch, capsys):
+    from oc_reason.cli import main
+    monkeypatch.chdir(tmp_path)
+    for name, obj in files.items():
+        serialize.write_json(name, obj)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in out + err

@@ -187,6 +187,27 @@ class TestFindSi:
         pref = pareto_preference(list(trio))
         assert ("Ga", "Gc") in find_any_si(bcs, pref, strict=True)
 
+    def test_certificate_verified_once_per_call(self, monkeypatch):
+        import oc_reason.si as si
+        calls = []
+
+        def counted(check):
+            def wrapper(*args):
+                calls.append(check.__name__)
+                return check(*args)
+            return wrapper
+
+        monkeypatch.setattr(si, "is_max_closed", counted(si.is_max_closed))
+        monkeypatch.setattr(si, "is_join_closed", counted(si.is_join_closed))
+        bcs, orders = random_max_closed_bcs(random.Random(33), 5, 3)
+        joins = joins_from_orders(bcs, orders)
+        pref = Preference.from_relation({v.id: v.domain for v in bcs.variables},
+                                        lambda a, b: a[1] >= b[1])
+        for mode in DecisionMode:
+            find_any_si(bcs, pref, mode=mode, orders=orders, joins=joins)
+            find_si_on(bcs, "X1", pref, mode=mode, orders=orders, joins=joins)
+        assert calls == ["is_max_closed"] * 2 + ["is_join_closed"] * 2
+
     def test_incomparable_outcomes_no_pairs(self, table2_games):
         base, improver = table2_games
         # no constraints: every outcome combination occurs, and the base
