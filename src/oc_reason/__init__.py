@@ -35,6 +35,7 @@ from .bcs import (
     path_consistency,
     path_consistency_sweeps,
     pin,
+    refuted,
 )
 from .closedness import (
     ClosednessReport,

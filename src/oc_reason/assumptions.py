@@ -45,7 +45,9 @@ class DecreasingRiskPair:
 @dataclass(frozen=True)
 class AssumptionSelection:
     """Which assumption families to apply, with optional per-family
-    restrictions to explicit games or game pairs."""
+    restrictions to explicit games or game pairs. A restriction of None
+    applies its family to every game; a tuple applies it to the named games
+    or pairs only, none when empty, and must name games of the list."""
 
     dominance: bool = False
     isomorphism: bool = False
@@ -242,12 +244,19 @@ def build_assumption_bcs(games: list[NormalFormGame],
     if len(set(names)) != len(names):
         raise InputError("duplicate game names")
     by_name = {g.name: g for g in games}
+    restricted = [("dominance_games", selection.dominance_games or ()),
+                  ("nash_games", selection.nash_games or ()),
+                  ("isomorphism_pairs", [n for p in selection.isomorphism_pairs or () for n in p])]
+    for key, listed in restricted:
+        unknown = [n for n in listed if n not in by_name]
+        if unknown:
+            raise InputError(f"{key} names unknown games {unknown}")
 
     variables = [Variable(g.name, g.outcome_labels()) for g in games]
     constraints: list[Correspondence] = []
 
     if selection.dominance:
-        allowed = set(selection.dominance_games or names)
+        allowed = set(names if selection.dominance_games is None else selection.dominance_games)
         for g in games:
             if g.name not in allowed:
                 continue
@@ -273,7 +282,7 @@ def build_assumption_bcs(games: list[NormalFormGame],
                 constraints.append(oc)
 
     if selection.nash:
-        allowed = set(selection.nash_games or names)
+        allowed = set(names if selection.nash_games is None else selection.nash_games)
         for g in games:
             if g.name in allowed and pure_nash_equilibria(g):
                 constraints.append(oc_nash(g))

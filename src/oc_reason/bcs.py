@@ -17,6 +17,11 @@ with its transpose, so the symmetry rule holds by construction and neither
 loop transposes on read. Both propagation loops apply the same revision step
 (compose through a third variable, intersect, narrow) and record whether any
 narrowing happened, which is what ``PropagatedBcs.narrowed()`` reports.
+
+The worklist loop is seeded by its caller. ``path_consistency`` queues every
+variable pair of the normalized store; ``refuted`` narrows one relation of a
+copy of a fixed point's store and queues that pair alone, since every other
+relation is already consistent there.
 """
 
 from __future__ import annotations
@@ -305,6 +310,8 @@ class PropagatedBcs:
     shrank: bool
     has_empty: bool
     sweeps: int | None = None
+    # the directed store that ``psi`` was read from, for incremental checks
+    _store: _Store = field(default_factory=list, repr=False, compare=False)
 
     def pair(self, x: str, y: str) -> Correspondence:
         key = (x, y)
@@ -322,20 +329,18 @@ def _package(bcs: Bcs, rel: _Store, shrank: bool, sweeps: int | None) -> Propaga
     psi = {(names[i], names[j]): Correspondence(names[i], names[j], doms[i], doms[j], rows)
            for i, row in enumerate(rel) for j, rows in enumerate(row)}
     has_empty = any(c.is_everywhere_empty() for c in psi.values())
-    return PropagatedBcs(bcs, psi, shrank, has_empty, sweeps)
+    return PropagatedBcs(bcs, psi, shrank, has_empty, sweeps, rel)
 
 
-def path_consistency(bcs: Bcs) -> PropagatedBcs:
-    """Worklist propagation of the transitivity/intersection/symmetry/
-    reflexivity rules to their unique greatest fixed point.
-
-    The result is bit-identical to the naive full-sweep loop in
-    :func:`path_consistency_sweeps`; empty relations are a legitimate result
-    signaling unsatisfiability evidence, never an error.
-    """
-    rel = _relation_store(bcs)
+def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]]) -> bool:
+    """The worklist loop: revise every relation that a queued pair (a, b),
+    a <= b, feeds until the queue is empty; returns True when any relation
+    shrank. Queuing a pair whenever its relation shrinks keeps the invariant
+    that every unqueued pair has been revised against the current store, so
+    the loop ends at the greatest fixed point below ``rel`` provided every
+    pair whose relation is not already consistent with the rest is seeded."""
     n = len(rel)
-    queue = deque((a, b) for a in range(n) for b in range(a, n))
+    queue = deque(seeds)
     queued = set(queue)
     shrank = False
     while queue:
@@ -350,6 +355,20 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
                     if key not in queued:
                         queued.add(key)
                         queue.append(key)
+    return shrank
+
+
+def path_consistency(bcs: Bcs) -> PropagatedBcs:
+    """Worklist propagation of the transitivity/intersection/symmetry/
+    reflexivity rules to their unique greatest fixed point.
+
+    The result is bit-identical to the naive full-sweep loop in
+    :func:`path_consistency_sweeps`; empty relations are a legitimate result
+    signaling unsatisfiability evidence, never an error.
+    """
+    rel = _relation_store(bcs)
+    n = len(rel)
+    shrank = _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)))
     return _package(bcs, rel, shrank, None)
 
 
@@ -441,6 +460,28 @@ def derivable(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     point, i.e. the derived relation for the pair is inside the claim."""
     _check_claim(propagated.bcs, claim)
     return propagated.pair(claim.source, claim.target).subset_of(claim)
+
+
+def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
+    """Whether adding the claim's complement to the structure derives an
+    everywhere-empty relation: the answer of
+    ``path_consistency(bcs.with_constraints([claim.complement()])).has_empty``,
+    computed from the structure's fixed point instead of from scratch.
+
+    The greatest fixed point is monotone, so gfp(B and C) = gfp(gfp(B) and C):
+    a copy of the fixed point's store is narrowed by the complement and
+    propagated with the claim's pair alone queued, since every other relation
+    is already consistent (the incremental step of PC-2, Mackworth 1977). An
+    empty relation in the fixed point refutes every claim.
+    """
+    _check_claim(propagated.bcs, claim)
+    if propagated.has_empty:
+        return True
+    x, y = propagated.bcs.index(claim.source), propagated.bcs.index(claim.target)
+    rel = [list(row) for row in propagated._store]
+    _narrow(rel, x, y, tuple(a & b for a, b in zip(rel[x][y], claim.complement().rows)))
+    _propagate(rel, [(min(x, y), max(x, y))])
+    return any(not any(rows) for row in rel for rows in row)
 
 
 def pin(var: str, domain: Sequence[str], value: str) -> Correspondence:

@@ -41,7 +41,10 @@ def _load_pref(spec: str, bcs, games):
     if spec == "pareto":
         obj = {"kind": "pareto"}
     elif spec.startswith("player:"):
-        obj = {"kind": "player", "player": int(spec.split(":", 1)[1])}
+        try:
+            obj = {"kind": "player", "player": int(spec.split(":", 1)[1])}
+        except ValueError as exc:
+            raise InputError(f"bad preference spec {spec!r}: N must be an integer") from exc
     elif spec.startswith("@"):
         obj = serialize.read_json(spec[1:])
     else:

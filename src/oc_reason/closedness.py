@@ -48,7 +48,9 @@ def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[str, int]]
         if v.id not in orders:
             raise InputError(f"no order supplied for variable {v.id!r}")
         order = tuple(orders[v.id])
-        if sorted(order) != sorted(v.domain):
+        # the domain's values are distinct, and sorting could not compare
+        # values of different types
+        if len(order) != len(v.domain) or set(order) != set(v.domain):
             raise InputError(f"order for {v.id!r} is not a permutation of its domain")
         ranks[v.id] = {value: i for i, value in enumerate(order)}
     return ranks

@@ -18,8 +18,12 @@ Formats:
   selection      {"dominance": true, "isomorphism": true, "nash": false,
                   "decreasing_risk": [{"g1": "GL", "g2": "GR",
                                        "a1": [["aH","aH"],["aH","aH"]],
-                                       "a2": [["aL","aL"],["aL","aL"]]}]}
-                 "a1"/"a2" list the top/safe profiles of g1 then g2.
+                                       "a2": [["aL","aL"],["aL","aL"]]}],
+                  "dominance_games": ["GL"], "isomorphism_pairs": [["GL","GR"]],
+                  "nash_games": ["GR"]}
+                 "a1"/"a2" list the top/safe profiles of g1 then g2; the
+                 three optional lists restrict their families to the named
+                 games or game pairs.
 
 Dumping is canonical (sorted keys, two-space indent) so instances round-trip
 byte-identically.
@@ -55,11 +59,21 @@ def read_json(path: str | Path):
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+def _object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _field(obj, key: str, what: str):
     """``obj[key]``; InputError when obj is not a JSON object or lacks the key."""
-    if not isinstance(obj, Mapping):
-        raise InputError(f"{what} must be a JSON object, got {obj!r}")
-    if key not in obj:
+    if key not in _object(obj, what):
         raise InputError(f"{what} is missing {key!r}")
     return obj[key]
 
@@ -68,6 +82,30 @@ def _pair(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InputError(f"{what} must be a two-element list, got {value!r}")
     return tuple(value)
+
+
+# ids and domain, outcome and action labels may be any JSON value but these,
+# which could not be looked up
+_NOT_LABELS = (list, dict)
+
+
+def _label(value, what: str):
+    if isinstance(value, _NOT_LABELS):
+        raise InputError(f"{what} must be a label, got {value!r}")
+    return value
+
+
+def _labels(value, what: str) -> tuple:
+    if any(isinstance(v, _NOT_LABELS) for v in _list(value, what)):
+        raise InputError(f"{what} must list labels, got {value!r}")
+    return tuple(value)
+
+
+def _label_pair(value, what: str) -> tuple:
+    pair = _pair(value, what)
+    if any(isinstance(v, _NOT_LABELS) for v in pair):
+        raise InputError(f"{what} must be two labels, got {value!r}")
+    return pair
 
 
 def payoff_to_json(value: Fraction):
@@ -87,24 +125,23 @@ def game_to_json(game: NormalFormGame) -> dict:
 
 
 def game_from_json(obj: Mapping, name: str | None = None) -> NormalFormGame:
-    for key in ("players", "actions", "utilities"):
-        if key not in obj:
-            raise InputError(f"game object is missing {key!r}")
-    actions = [tuple(a) for a in obj["actions"]]
-    if len(actions) != obj["players"]:
+    players, actions, utilities = (_field(obj, key, "game object")
+                                   for key in ("players", "actions", "utilities"))
+    actions = [_labels(a, "action list") for a in _list(actions, "'actions'")]
+    if len(actions) != players:
         raise InputError("player count does not match the action lists")
-    utilities = {}
-    for label, vector in obj["utilities"].items():
-        utilities[tuple(label.split(","))] = [as_fraction(v) for v in vector]
+    table = {}
+    for label, vector in _object(utilities, "'utilities'").items():
+        table[tuple(label.split(","))] = [as_fraction(v) for v in _list(vector, "payoff vector")]
     game_name = name or obj.get("name")
     if not game_name:
         raise InputError("game needs a name (provide one or add a 'name' key)")
-    return NormalFormGame.create(game_name, actions, utilities)
+    return NormalFormGame.create(_label(game_name, "game name"), actions, table)
 
 
 def load_game(path: str | Path) -> NormalFormGame:
     path = Path(path)
-    obj = read_json(path)
+    obj = _object(read_json(path), "game file")
     return game_from_json(obj, name=obj.get("name") or path.stem)
 
 
@@ -125,24 +162,27 @@ def bcs_from_json(obj: Mapping, base_dir: str | Path | None = None
                   ) -> tuple[Bcs, dict[str, NormalFormGame]]:
     """Parse a BCS file; resolves any referenced game files (relative to
     `base_dir`) or inline game objects and returns them keyed by variable id."""
-    variables = tuple(Variable(_field(v, "id", "variable"), tuple(_field(v, "domain", "variable")))
-                      for v in _field(obj, "variables", "BCS object"))
+    variables = tuple(Variable(_label(_field(v, "id", "variable"), "variable id"),
+                               _labels(_field(v, "domain", "variable"), "variable domain"))
+                      for v in _list(_field(obj, "variables", "BCS object"), "'variables'"))
     domains = {v.id: v.domain for v in variables}
     constraints = []
-    for c in obj.get("constraints", ()):
+    for c in _list(obj.get("constraints", []), "'constraints'"):
         x, y, pairs = (_field(c, key, "constraint object") for key in ("x", "y", "pairs"))
-        if x not in domains or y not in domains:
+        if _label(x, "constraint end") not in domains or _label(y, "constraint end") not in domains:
             raise InputError(f"constraint references unknown variables ({x!r}, {y!r})")
         constraints.append(Correspondence.from_pairs(
-            x, y, domains[x], domains[y], [_pair(p, "constraint pair") for p in pairs]))
+            x, y, domains[x], domains[y],
+            [_label_pair(p, "constraint pair") for p in _list(pairs, "constraint pairs")]))
     games: dict[str, NormalFormGame] = {}
-    for var_id, ref in (obj.get("games") or {}).items():
+    for var_id, ref in _object(obj.get("games") or {}, "'games'").items():
         if isinstance(ref, str):
             path = Path(ref)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
             games[var_id] = load_game(path)
         else:
+            ref = _object(ref, f"game of {var_id!r}")
             games[var_id] = game_from_json(ref, name=ref.get("name") or var_id)
     return Bcs(variables, tuple(constraints)), games
 
@@ -157,19 +197,17 @@ def orders_to_json(orders: Mapping[str, Sequence[str]]) -> dict:
 
 
 def orders_from_json(obj: Mapping) -> dict[str, tuple[str, ...]]:
-    orders = _field(obj, "orders", "orders file")
-    if not isinstance(orders, Mapping) or \
-            not all(isinstance(v, list) for v in orders.values()):
-        raise InputError("'orders' must map variable ids to lists of values")
-    return {k: tuple(v) for k, v in orders.items()}
+    orders = _object(_field(obj, "orders", "orders file"), "'orders'")
+    return {k: _labels(v, f"order of {k!r}") for k, v in orders.items()}
 
 
 def semilattices_from_json(obj: Mapping, bcs: Bcs) -> dict[str, dict[tuple[str, str], str]]:
     out = {}
-    for var_id, spec in _field(obj, "semilattices", "semilattice file").items():
-        edges = _field(spec, "edges", f"semilattice of {var_id!r}")
+    for var_id, spec in _object(_field(obj, "semilattices", "semilattice file"),
+                                "'semilattices'").items():
+        edges = _list(_field(spec, "edges", f"semilattice of {var_id!r}"), "'edges'")
         out[var_id] = join_table_from_hasse(
-            bcs.domain(var_id), [_pair(e, "semilattice edge") for e in edges])
+            bcs.domain(var_id), [_label_pair(e, "semilattice edge") for e in edges])
     return out
 
 
@@ -179,7 +217,7 @@ def semilattices_to_json(hasse: Mapping[str, Sequence[tuple[str, str]]]) -> dict
 
 def preference_from_json(obj: Mapping, bcs: Bcs,
                          games: Mapping[str, NormalFormGame]) -> Preference:
-    kind = obj.get("kind")
+    kind = _object(obj, "preference").get("kind")
     if kind in ("pareto", "player"):
         missing = [v.id for v in bcs.variables if v.id not in games]
         if missing:
@@ -199,8 +237,8 @@ def preference_from_json(obj: Mapping, bcs: Bcs,
     if kind == "explicit":
         domains = {v.id: v.domain for v in bcs.variables}
         pairs = []
-        for entry in obj.get("geq", ()):
-            pairs.append(tuple(_pair(side, "preference outcome")
+        for entry in _list(obj.get("geq", []), "'geq'"):
+            pairs.append(tuple(_label_pair(side, "preference outcome")
                                for side in _pair(entry, "preference entry")))
         return Preference.from_pairs(domains, pairs)
     raise InputError(f"unknown preference kind {kind!r}")
@@ -208,15 +246,24 @@ def preference_from_json(obj: Mapping, bcs: Bcs,
 
 def selection_from_json(obj: Mapping) -> AssumptionSelection:
     risk = []
-    for entry in obj.get("decreasing_risk", ()):
-        g1, g2 = (_field(entry, key, "decreasing-risk entry") for key in ("g1", "g2"))
-        a1, a2 = (_pair(_field(entry, key, "decreasing-risk entry"), f"{key!r} profiles")
+    for entry in _list(_object(obj, "selection").get("decreasing_risk", []), "'decreasing_risk'"):
+        g1, g2 = (_label(_field(entry, key, "decreasing-risk entry"), key) for key in ("g1", "g2"))
+        a1, a2 = ([_labels(profile, f"{key!r} profile") for profile in
+                   _pair(_field(entry, key, "decreasing-risk entry"), f"{key!r} profiles")]
                   for key in ("a1", "a2"))
-        risk.append(DecreasingRiskPair(
-            g1, g2, tuple(a1[0]), tuple(a2[0]), tuple(a1[1]), tuple(a2[1])))
+        risk.append(DecreasingRiskPair(g1, g2, a1[0], a2[0], a1[1], a2[1]))
+
+    def restriction(key: str, read_entry):
+        listed = obj.get(key)
+        return None if listed is None else tuple(read_entry(e, f"an entry of {key!r}")
+                                                 for e in _list(listed, repr(key)))
+
     return AssumptionSelection(
         dominance=bool(obj.get("dominance", False)),
         isomorphism=bool(obj.get("isomorphism", False)),
         nash=bool(obj.get("nash", False)),
         decreasing_risk=tuple(risk),
+        dominance_games=restriction("dominance_games", _label),
+        isomorphism_pairs=restriction("isomorphism_pairs", _label_pair),
+        nash_games=restriction("nash_games", _label),
     )

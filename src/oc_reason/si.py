@@ -7,6 +7,15 @@ outcome-correspondence claim, so it can be decided exactly (oracle), by
 propagation (complete on max-closed structures), or by refutation (adding the
 non-improvement correspondence and propagating until an empty correspondence
 appears; complete on join-closed structures).
+
+The path-consistency fixed point depends on the structure only, not on the
+queried pair, so the ``find_*`` queries compute it once per call. Propagation
+then answers each pair with a subset check. Refutation restarts from a copy
+of the fixed point narrowed by the pair's non-improvement correspondence,
+with that pair alone queued: the greatest fixed point is monotone, so
+gfp(B and C) = gfp(gfp(B) and C) (the incremental argument of PC-2). A single
+:func:`decide_si` call does not go through the fixed point: for one pair,
+propagating the augmented structure directly is one propagation, not two.
 """
 
 from __future__ import annotations
@@ -20,9 +29,11 @@ from .bcs import (
     Assignment,
     Bcs,
     Correspondence,
+    PropagatedBcs,
     derivable,
     enumerate_satisfying,
     path_consistency,
+    refuted,
 )
 from .closedness import is_join_closed, is_max_closed
 from .errors import InputError
@@ -206,6 +217,38 @@ def verify_certificate(bcs: Bcs, mode: DecisionMode,
     return True
 
 
+def _claim(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool) -> Correspondence:
+    bcs.var(x), bcs.var(y)
+    _check_pref_matches(bcs, pref, x, y)
+    return improvement_oc(x, y, pref, strict)
+
+
+def _verdict(bcs: Bcs, claim: Correspondence, mode: DecisionMode, certified: bool = False,
+             fixed_point: PropagatedBcs | None = None) -> SiVerdict:
+    """The verdict on one improvement claim. ``fixed_point``, when given, is
+    ``path_consistency(bcs)``, shared by all pairs of one query; without it
+    propagation and refutation propagate for this claim alone."""
+    if mode is DecisionMode.EXACT:
+        witnesses = enumerate_satisfying(bcs.with_constraints([claim.complement()]), limit=1)
+        if witnesses:
+            return SiVerdict(False, mode, counterexample=witnesses[0])
+        return SiVerdict(True, mode)
+
+    if mode is DecisionMode.PROPAGATION:
+        if fixed_point is None:
+            fixed_point = path_consistency(bcs)
+        return SiVerdict(derivable(fixed_point, claim), mode, certified=certified)
+
+    if mode is DecisionMode.REFUTATION:
+        if fixed_point is None:
+            yes = path_consistency(bcs.with_constraints([claim.complement()])).has_empty
+        else:
+            yes = refuted(fixed_point, claim)
+        return SiVerdict(yes, mode, certified=certified)
+
+    raise InputError(f"unknown decision mode {mode!r}")
+
+
 def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
               mode: DecisionMode = DecisionMode.EXACT,
               orders: Mapping[str, tuple[str, ...]] | None = None,
@@ -220,47 +263,54 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     everywhere-empty correspondence is derived (complete on join-closed
     structures). Supplied order/join certificates are checked by
     :func:`verify_certificate`.
+
+    One call costs one propagation: refutation folds the non-improvement
+    correspondence into the normalized structure and propagates once.
+    Starting from the structure's fixed point, as the ``find_*`` queries do,
+    would propagate twice for a single pair.
     """
-    bcs.var(x), bcs.var(y)
-    _check_pref_matches(bcs, pref, x, y)
-    claim = improvement_oc(x, y, pref, strict)
+    claim = _claim(bcs, x, y, pref, strict)
     certified = verify_certificate(bcs, mode, orders, joins)
+    return _verdict(bcs, claim, mode, certified)
 
-    if mode is DecisionMode.EXACT:
-        witnesses = enumerate_satisfying(bcs.with_constraints([claim.complement()]), limit=1)
-        if witnesses:
-            return SiVerdict(False, mode, counterexample=witnesses[0])
-        return SiVerdict(True, mode)
 
-    if mode is DecisionMode.PROPAGATION:
-        return SiVerdict(derivable(path_consistency(bcs), claim), mode, certified=certified)
-
-    if mode is DecisionMode.REFUTATION:
-        propagated = path_consistency(bcs.with_constraints([claim.complement()]))
-        return SiVerdict(propagated.has_empty, mode, certified=certified)
-
-    raise InputError(f"unknown decision mode {mode!r}")
+def _improving(bcs: Bcs, pairs, pref: Preference, strict: bool,
+               mode: DecisionMode) -> list[tuple[str, str]]:
+    """The pairs (x, y) whose y safely improves on x, decided from one fixed
+    point of the structure in propagation and refutation modes."""
+    fixed_point = None if mode is DecisionMode.EXACT else path_consistency(bcs)
+    return [(x, y) for x, y in pairs
+            if _verdict(bcs, _claim(bcs, x, y, pref, strict), mode,
+                        fixed_point=fixed_point).yes]
 
 
 def find_si_on(bcs: Bcs, x: str, pref: Preference, strict: bool = False,
                mode: DecisionMode = DecisionMode.EXACT,
                orders=None, joins=None) -> list[str]:
     """All variables that (strictly) safely improve on x, in variable order.
-    A supplied certificate is verified once, not per variable."""
+
+    A supplied certificate is verified once, not per variable. Propagation
+    and refutation compute the structure's fixed point once per call:
+    propagation answers each variable with a subset check on it, refutation
+    restarts from a copy of it with the one narrowed pair queued
+    (:func:`~oc_reason.bcs.refuted`). The verdicts equal
+    :func:`decide_si`'s for each pair.
+    """
     bcs.var(x)
     verify_certificate(bcs, mode, orders, joins)
-    return [v.id for v in bcs.variables if v.id != x and
-            decide_si(bcs, x, v.id, pref, strict, mode).yes]
+    pairs = [(x, v.id) for v in bcs.variables if v.id != x]
+    return [y for _, y in _improving(bcs, pairs, pref, strict, mode)]
 
 
 def find_any_si(bcs: Bcs, pref: Preference, strict: bool = False,
                 mode: DecisionMode = DecisionMode.EXACT,
                 orders=None, joins=None) -> list[tuple[str, str]]:
     """All ordered pairs (x, y), x != y, where y safely improves on x.
-    A supplied certificate is verified once, not per pair."""
+
+    A supplied certificate is verified once, not per pair, and propagation
+    and refutation share one fixed point of the structure across all pairs,
+    as in :func:`find_si_on`.
+    """
     verify_certificate(bcs, mode, orders, joins)
-    out = []
-    for a, b in itertools.permutations([v.id for v in bcs.variables], 2):
-        if decide_si(bcs, a, b, pref, strict, mode).yes:
-            out.append((a, b))
-    return out
+    pairs = itertools.permutations([v.id for v in bcs.variables], 2)
+    return _improving(bcs, pairs, pref, strict, mode)

@@ -161,6 +161,28 @@ class TestSelectionFormat:
         assert sel.dominance and sel.isomorphism and not sel.nash
         assert sel.decreasing_risk == (labeling,)
 
+    def test_restrictions_round_trip_through_assume(self, tmp_path, monkeypatch):
+        from oc_reason.cli import main
+        games = list(chicken_trio())
+        obj = {"dominance": True, "isomorphism": True, "nash": True,
+               "dominance_games": ["Gb"], "isomorphism_pairs": [["Gc", "Gb"]],
+               "nash_games": ["Gc", "Ga"]}
+        selection = AssumptionSelection(
+            dominance=True, isomorphism=True, nash=True, dominance_games=("Gb",),
+            isomorphism_pairs=(("Gc", "Gb"),), nash_games=("Gc", "Ga"))
+        assert serialize.selection_from_json(obj) == selection
+        monkeypatch.chdir(tmp_path)
+        for g in games:
+            serialize.write_json(f"{g.name}.json", serialize.game_to_json(g))
+        serialize.write_json("sel.json", obj)
+        assert main(["assume", *(f"{g.name}.json" for g in games),
+                     "--selection", "sel.json", "--out", "out.json"]) == 0
+        built, _ = serialize.load_bcs("out.json")
+        assert built == build_assumption_bcs(games, selection)
+        # Ga's dominance constraint and Gb's Nash self-loop are left out
+        assert [(c.source, c.target) for c in built.constraints] == \
+            [("Gb", "Gc"), ("Ga", "Ga"), ("Gc", "Gc")]
+
 
 PAIR_BCS = {"variables": [{"id": "X", "domain": ["a", "b"]}, {"id": "Y", "domain": ["a", "b"]}],
             "constraints": []}
@@ -185,8 +207,37 @@ ONE_GAME = {"name": "G", "players": 2, "actions": [["a"], ["a"]], "utilities": {
                  id="explicit-preference-entry-not-two-outcomes"),
     pytest.param({"bcs.json": PAIR_BCS, "orders.json": {"orders": 5}},
                  ["closedness", "bcs.json", "--orders", "orders.json"], id="orders-not-a-map"),
+    pytest.param({"bcs.json": PAIR_BCS, "orders.json": {"orders": {"X": ["a", "b"], "Y": ["b", 5]}}},
+                 ["closedness", "bcs.json", "--orders", "orders.json"],
+                 id="order-value-of-another-type"),
     pytest.param({"g.json": {**ONE_GAME, "utilities": {"a,a": [[1, 0], 1]}}},
                  ["assume", "g.json", "--out", "out.json"], id="zero-denominator-payoff"),
+    pytest.param({"bcs.json": {"variables": [{"id": "X", "domain": 5}]}},
+                 ["solve", "bcs.json"], id="domain-not-a-list"),
+    pytest.param({"bcs.json": {**PAIR_BCS, "constraints": 5}},
+                 ["solve", "bcs.json"], id="constraints-not-a-list"),
+    pytest.param({"bcs.json": PAIR_BCS, "joins.json": {"semilattices": 5}},
+                 ["closedness", "bcs.json", "--joins", "joins.json"],
+                 id="semilattices-not-an-object"),
+    pytest.param({"g.json": {**ONE_GAME, "utilities": [[1, 1]]}},
+                 ["assume", "g.json", "--nash", "--out", "out.json"], id="utilities-as-a-list"),
+    pytest.param({"bcs.json": PAIR_BCS,
+                  "pref.json": {"kind": "explicit", "geq": [[["X", ["a"]], ["Y", "a"]]]}},
+                 ["check-si", "bcs.json", "X", "Y", "--pref", "@pref.json"],
+                 id="explicit-preference-outcome-a-list"),
+    pytest.param({"bcs.json": PAIR_BCS},
+                 ["check-si", "bcs.json", "X", "Y", "--pref", "player:x"],
+                 id="player-preference-index-not-a-number"),
+    pytest.param({"g.json": ONE_GAME, "sel.json": {"nash": True, "nash_games": "G"}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-restriction-not-a-list"),
+    pytest.param({"g.json": ONE_GAME,
+                  "sel.json": {"isomorphism": True, "isomorphism_pairs": [["G"]]}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-pair-not-two-games"),
+    pytest.param({"g.json": ONE_GAME, "sel.json": {"dominance": True, "dominance_games": ["nope"]}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-restriction-names-unknown-game"),
 ])
 def test_malformed_input_exits_1_without_traceback(files, argv, tmp_path, monkeypatch, capsys):
     from oc_reason.cli import main

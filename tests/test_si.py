@@ -17,13 +17,16 @@ from oc_reason import (
     find_any_si,
     find_si_on,
     improvement_oc,
+    intersect,
     joins_from_orders,
     montanari_instance,
     orders_for_assumptions,
     pareto_preference,
+    path_consistency,
     player_preference,
     random_bcs,
     random_max_closed_bcs,
+    refuted,
 )
 from oc_reason.fixtures import single_outcome_game
 from conftest import random_game
@@ -208,6 +211,29 @@ class TestFindSi:
             find_si_on(bcs, "X1", pref, mode=mode, orders=orders, joins=joins)
         assert calls == ["is_max_closed"] * 2 + ["is_join_closed"] * 2
 
+    def test_one_propagation_per_call(self, monkeypatch):
+        # find_* share one fixed point across their pairs; decide_si keeps
+        # one propagation per pair, not the fixed point plus a restart
+        import oc_reason.si as si
+        calls = []
+
+        def counted(bcs):
+            calls.append(bcs)
+            return path_consistency(bcs)
+
+        monkeypatch.setattr(si, "path_consistency", counted)
+        bcs, _ = random_max_closed_bcs(random.Random(34), 5, 3)
+        pref = Preference.from_relation({v.id: v.domain for v in bcs.variables},
+                                        lambda a, b: a[1] >= b[1])
+        for mode in DecisionMode:
+            expected = 0 if mode is DecisionMode.EXACT else 1
+            for query in (lambda: find_any_si(bcs, pref, mode=mode),
+                          lambda: find_si_on(bcs, "X1", pref, mode=mode),
+                          lambda: decide_si(bcs, "X1", "X2", pref, mode=mode)):
+                calls.clear()
+                query()
+                assert len(calls) == expected, mode
+
     def test_incomparable_outcomes_no_pairs(self, table2_games):
         base, improver = table2_games
         # no constraints: every outcome combination occurs, and the base
@@ -215,6 +241,80 @@ class TestFindSi:
         bcs = Bcs.create([("G", base.outcome_labels()), ("Gp", improver.outcome_labels())])
         pref = pareto_preference([base, improver])
         assert find_any_si(bcs, pref, strict=False) == []
+
+
+def _coloring_bcs(rng, n, density):
+    """3-colouring of a random graph: not-equal constraints on its edges.
+    Such structures are often path consistent yet refuted by propagation
+    once one relation is narrowed, which random relations rarely are."""
+    dom = ("r", "g", "b")
+    names = [f"X{i + 1}" for i in range(n)]
+    differ = [(u, v) for u in dom for v in dom if u != v]
+    return Bcs.create([(x, dom) for x in names],
+                      [Correspondence.from_pairs(x, y, dom, dom, differ)
+                       for i, x in enumerate(names) for y in names[i + 1:]
+                       if rng.random() < density])
+
+
+def _differential_structures():
+    """160 seeded structures of 1 to 8 variables with domains up to 4: random
+    ones and graph colourings at three densities, and every fourth
+    max-closed with its orders and joins. The variable count is the smaller
+    of two draws: the per-pair reference costs about n^5, so a uniform draw
+    would spend most of the time on the few largest structures."""
+    rng = random.Random(60)
+    for k in range(160):
+        n = min(rng.randint(1, 8), rng.randint(1, 8))
+        density = (0.3, 0.6, 0.9)[k % 3]
+        if k % 4 == 3:
+            bcs, orders = random_max_closed_bcs(rng, n, 4)
+            yield rng, bcs, orders, joins_from_orders(bcs, orders)
+        elif k % 4 == 1:
+            yield rng, _coloring_bcs(rng, n, density), None, None
+        else:
+            yield rng, random_bcs(rng, n, 4, density=density), None, None
+
+
+def test_find_si_equals_per_pair_decisions():
+    # find_* decide from one shared fixed point (refutation restarts from it
+    # with one pair queued); decide_si propagates each pair from scratch
+    with_empty, largest = 0, 0
+    for rng, bcs, orders, joins in _differential_structures():
+        pref = _random_pref(rng, bcs)
+        names = [v.id for v in bcs.variables]
+        largest = max(largest, len(names))
+        base_empty = path_consistency(bcs).has_empty
+        with_empty += base_empty
+        for mode in DecisionMode:
+            for strict in (False, True):
+                decided = [(x, y) for x in names for y in names if x != y and
+                           decide_si(bcs, x, y, pref, strict, mode).yes]
+                assert find_any_si(bcs, pref, strict, mode, orders, joins) == decided
+                x = rng.choice(names)
+                assert find_si_on(bcs, x, pref, strict, mode, orders, joins) == \
+                    [b for a, b in decided if a == x]
+                if base_empty and mode is DecisionMode.REFUTATION:
+                    assert len(decided) == len(names) * (len(names) - 1)
+    assert with_empty >= 20 and largest == 8
+
+
+def test_refuted_agrees_with_propagating_the_augmented_structure():
+    # some refutations must need the restarted propagation: the narrowed
+    # relation alone is not empty
+    propagated = 0
+    for rng, bcs, _, _ in _differential_structures():
+        pref = _random_pref(rng, bcs)
+        fixed_point = path_consistency(bcs)
+        for x in (v.id for v in bcs.variables):
+            y = rng.choice(bcs.variables).id
+            claim = improvement_oc(x, y, pref, rng.random() < 0.5)
+            augmented = path_consistency(bcs.with_constraints([claim.complement()]))
+            assert refuted(fixed_point, claim) == augmented.has_empty
+            if fixed_point.has_empty:
+                assert refuted(fixed_point, claim)
+            narrowed = intersect(fixed_point.pair(x, y), claim.complement())
+            propagated += augmented.has_empty and not narrowed.is_everywhere_empty()
+    assert propagated >= 10
 
 
 class TestModeAgreement:
