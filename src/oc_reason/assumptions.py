@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .bcs import Bcs, Correspondence, Variable
 from .errors import InputError
 from .games import (
+    Isomorphism,
     NormalFormGame,
     ParetoRelation,
     find_isomorphisms,
@@ -88,7 +89,13 @@ def oc_isomorphism(g1: NormalFormGame, g2: NormalFormGame) -> Correspondence | N
             raise InputError(
                 f"game {g.name!r} has strictly dominated strategies; "
                 "the isomorphism assumption does not apply")
-    isos = find_isomorphisms(g1, g2)
+    return _oc_isomorphism(g1, g2, find_isomorphisms(g1, g2))
+
+
+def _oc_isomorphism(g1: NormalFormGame, g2: NormalFormGame,
+                    isos: list[Isomorphism]) -> Correspondence | None:
+    """`oc_isomorphism` from the isomorphism list g1 -> g2, for callers that
+    have checked both games for dominated strategies themselves."""
     if not isos:
         return None
     pairs = []
@@ -272,12 +279,13 @@ def build_assumption_bcs(games: list[NormalFormGame],
         allowed_pairs = None
         if selection.isomorphism_pairs is not None:
             allowed_pairs = {frozenset(p) for p in selection.isomorphism_pairs}
+        reduced = {g.name: is_fully_reduced(g) for g in games}
         for g1, g2 in itertools.combinations(games, 2):
             if allowed_pairs is not None and frozenset((g1.name, g2.name)) not in allowed_pairs:
                 continue
-            if not (is_fully_reduced(g1) and is_fully_reduced(g2)):
+            if not (reduced[g1.name] and reduced[g2.name]):
                 continue
-            oc = oc_isomorphism(g1, g2)
+            oc = _oc_isomorphism(g1, g2, find_isomorphisms(g1, g2))
             if oc is not None:
                 constraints.append(oc)
 

@@ -81,6 +81,8 @@ def cmd_propagate(args, report) -> int:
 
 
 def cmd_solve(args, report) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise InputError(f"--limit must be at least 1, got {args.limit}")
     bcs, _ = serialize.load_bcs(args.input)
     sols = enumerate_satisfying(bcs, limit=args.limit)
     report["count"] = len(sols)
@@ -226,11 +228,11 @@ def cmd_assume(args, report) -> int:
 
 def cmd_gen(args, report) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
 
     def emit(name: str, obj) -> None:
         path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
         serialize.write_json(path, obj)
         written.append(str(path))
 
@@ -252,7 +254,6 @@ def cmd_gen(args, report) -> int:
             raise InputError("csp-to-si needs --source pointing at a BCS file")
         source, _ = serialize.load_bcs(args.source)
         inst = reductions.csp_to_si_games(source, perturb=args.perturb)
-        (out / "games").mkdir(exist_ok=True)
         refs = {}
         for g in inst.games:
             emit(f"games/{g.name}.json", serialize.game_to_json(g))
@@ -263,6 +264,11 @@ def cmd_gen(args, report) -> int:
             "games": refs, "perturbed": args.perturb,
         })
     elif args.generator == "random-csp":
+        if args.vars < 1 or args.domain < 1:
+            raise InputError(f"random-csp needs --vars and --domain of at least 1, "
+                             f"got {args.vars} and {args.domain}")
+        if not 0 <= args.density <= 1:
+            raise InputError(f"--density must lie in [0, 1], got {args.density}")
         rng = random.Random(args.seed)
         bcs = reductions.random_bcs(rng, args.vars, args.domain, density=args.density)
         emit("random_csp.json", serialize.bcs_to_json(bcs))

@@ -5,7 +5,9 @@ the coordinatewise maximum of any two of its pairs. Join-closedness is the
 semilattice generalization via least-upper-bound operators. This module
 verifies both conditions (with violation witnesses), searches for certifying
 orders by brute force, and constructs certifying orders for
-assumption-generated structures.
+assumption-generated structures. All three share one closure scanner; order
+construction searches each ordered game pair for isomorphisms and checks
+each game for dominated strategies at most once per call.
 """
 
 from __future__ import annotations
@@ -13,12 +15,18 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import assumptions as asm
 from .bcs import Bcs, Correspondence
 from .errors import InputError
-from .games import NormalFormGame, find_isomorphisms, fully_reduce, is_fully_reduced
+from .games import (
+    Isomorphism,
+    NormalFormGame,
+    find_isomorphisms,
+    fully_reduce,
+    is_fully_reduced,
+)
 
 VariableOrders = Mapping[str, tuple[str, ...]]
 JoinFamily = Mapping[str, Mapping[tuple[str, str], str]]
@@ -56,9 +64,11 @@ def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[str, int]]
     return ranks
 
 
-def _scan_closure(bcs: Bcs, combine) -> ClosednessReport:
-    """Shared scan: `combine(var_id, a, b)` must return the least upper bound."""
-    for idx, c in enumerate(bcs.constraints):
+def _scan_closure(constraints: Iterable[tuple[int, Correspondence]],
+                  combine) -> ClosednessReport:
+    """Shared scan over (index in the structure, constraint) pairs:
+    `combine(var_id, a, b)` must return the least upper bound."""
+    for idx, c in constraints:
         pairs = c.pairs()
         for a in range(len(pairs)):
             for b in range(a + 1, len(pairs)):
@@ -78,7 +88,7 @@ def is_max_closed(bcs: Bcs, orders: VariableOrders) -> ClosednessReport:
     def vmax(var, a, b):
         return a if ranks[var][a] >= ranks[var][b] else b
 
-    return _scan_closure(bcs, vmax)
+    return _scan_closure(enumerate(bcs.constraints), vmax)
 
 
 def validate_join_family(bcs: Bcs, joins: JoinFamily) -> None:
@@ -112,7 +122,7 @@ def is_join_closed(bcs: Bcs, joins: JoinFamily) -> ClosednessReport:
     def vjoin(var, a, b):
         return joins[var][(a, b)]
 
-    return _scan_closure(bcs, vjoin)
+    return _scan_closure(enumerate(bcs.constraints), vjoin)
 
 
 def joins_from_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[tuple[str, str], str]]:
@@ -161,20 +171,6 @@ def join_table_from_hasse(domain: Sequence[str],
     return table
 
 
-def _partial_max_closed(constraint: Correspondence,
-                        ranks: dict[str, dict[str, int]]) -> bool:
-    pairs = constraint.pairs()
-    rs = ranks[constraint.source]
-    rt = ranks[constraint.target]
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            (x1, y1), (x2, y2) = pairs[a], pairs[b]
-            top = (x1 if rs[x1] >= rs[x2] else x2, y1 if rt[y1] >= rt[y2] else y2)
-            if not constraint.contains(*top):
-                return False
-    return True
-
-
 def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
     """Brute-force search for a certifying order family, pruned constraint by
     constraint; returns the lexicographically first certificate or None.
@@ -184,13 +180,16 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
     if any(len(v.domain) > 6 for v in bcs.variables):
         warnings.warn("order search over domains larger than 6 may be very slow")
     n = len(bcs.variables)
-    by_last: dict[int, list[Correspondence]] = {i: [] for i in range(n)}
+    by_last: dict[int, list[tuple[int, Correspondence]]] = {i: [] for i in range(n)}
     pos = {v.id: i for i, v in enumerate(bcs.variables)}
-    for c in bcs.constraints:
-        by_last[max(pos[c.source], pos[c.target])].append(c)
+    for idx, c in enumerate(bcs.constraints):
+        by_last[max(pos[c.source], pos[c.target])].append((idx, c))
 
     ranks: dict[str, dict[str, int]] = {}
     chosen: dict[str, tuple[str, ...]] = {}
+
+    def vmax(var, a, b):
+        return a if ranks[var][a] >= ranks[var][b] else b
 
     def assign(i: int) -> bool:
         if i == n:
@@ -199,7 +198,7 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
         for perm in itertools.permutations(var.domain):
             ranks[var.id] = {value: r for r, value in enumerate(perm)}
             chosen[var.id] = perm
-            if all(_partial_max_closed(c, ranks) for c in by_last[i]) and assign(i + 1):
+            if _scan_closure(by_last[i], vmax).closed and assign(i + 1):
                 return True
         del ranks[var.id], chosen[var.id]
         return False
@@ -214,9 +213,25 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_classes(game: NormalFormGame) -> dict[tuple[int, ...], tuple[int, ...]]:
+class _Searches:
+    """Reduction flags and isomorphism lists of one game list, each derived
+    at most once during the `orders_for_assumptions` call that made it."""
+
+    def __init__(self, games: Sequence[NormalFormGame]):
+        self.reduced = {g.name: is_fully_reduced(g) for g in games}
+        self._isomorphisms: dict[tuple[str, str], list[Isomorphism]] = {}
+
+    def isomorphisms(self, g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphism]:
+        key = (g1.name, g2.name)
+        if key not in self._isomorphisms:
+            self._isomorphisms[key] = find_isomorphisms(g1, g2)
+        return self._isomorphisms[key]
+
+
+def _orbit_classes(game: NormalFormGame,
+                   searches: _Searches) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Class key per profile: per-player orbit ids under the automorphism group."""
-    autos = find_isomorphisms(game, game)
+    autos = searches.isomorphisms(game, game)
     orbit_ids = []
     for i, acts in enumerate(game.actions):
         parent = list(range(len(acts)))
@@ -237,10 +252,10 @@ def _orbit_classes(game: NormalFormGame) -> dict[tuple[int, ...], tuple[int, ...
             for p in game.profiles()}
 
 
-def _class_blocks(game: NormalFormGame) -> list[list[tuple[int, ...]]]:
+def _class_blocks(game: NormalFormGame, searches: _Searches) -> list[list[tuple[int, ...]]]:
     """Outcome equivalence classes, each sorted by label, classes sorted by
     their lexicographically smallest member label."""
-    keys = _orbit_classes(game)
+    keys = _orbit_classes(game, searches)
     blocks: dict[tuple[int, ...], list] = {}
     for profile, key in keys.items():
         blocks.setdefault(key, []).append(profile)
@@ -252,19 +267,19 @@ def _class_blocks(game: NormalFormGame) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def _own_class_order(game: NormalFormGame) -> tuple[str, ...]:
-    return tuple(game.profile_label(p) for block in _class_blocks(game) for p in block)
+def _own_class_order(game: NormalFormGame, searches: _Searches) -> tuple[str, ...]:
+    return tuple(game.profile_label(p) for block in _class_blocks(game, searches) for p in block)
 
 
 def _transport_order(src: NormalFormGame, dst: NormalFormGame,
-                     src_order: Sequence[str]) -> tuple[str, ...]:
+                     src_order: Sequence[str], searches: _Searches) -> tuple[str, ...]:
     """Carry a class-contiguous outcome order across an isomorphism: the class
     sequence is mapped through (any) isomorphism, members sorted by label."""
-    isos = find_isomorphisms(src, dst)
+    isos = searches.isomorphisms(src, dst)
     if not isos:
         raise InputError(f"no isomorphism from {src.name!r} to {dst.name!r}")
     iso = isos[0]
-    keys = _orbit_classes(src)
+    keys = _orbit_classes(src, searches)
     seen: set[tuple[int, ...]] = set()
     out: list[str] = []
     for label in src_order:
@@ -288,7 +303,7 @@ def _risk_order(g: NormalFormGame, top: tuple[str, str], safe: tuple[str, str]) 
     )
 
 
-def _classify_constraints(games: list[NormalFormGame], bcs: Bcs):
+def _classify_constraints(games: list[NormalFormGame], bcs: Bcs, searches: _Searches):
     """Re-derive which assumption generated each constraint of the structure.
 
     Returns (risk orders by game, isomorphism edges). Raises when some
@@ -305,8 +320,8 @@ def _classify_constraints(games: list[NormalFormGame], bcs: Bcs):
                     candidates.append(("dominance", Correspondence(
                         g.name, other.name, oc.source_domain, oc.target_domain, oc.rows), None))
     for g1, g2 in itertools.combinations(games, 2):
-        if is_fully_reduced(g1) and is_fully_reduced(g2):
-            oc = asm.oc_isomorphism(g1, g2)
+        if searches.reduced[g1.name] and searches.reduced[g2.name]:
+            oc = asm._oc_isomorphism(g1, g2, searches.isomorphisms(g1, g2))
             if oc is not None:
                 candidates.append(("isomorphism", oc, (g1.name, g2.name)))
     for g in games:
@@ -366,6 +381,8 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
     tie-break.
     """
     names = {g.name for g in games}
+    if len(names) != len(games):
+        raise InputError("duplicate game names")
     for v in bcs.variables:
         if v.id not in names:
             raise InputError(f"structure variable {v.id!r} is not one of the games")
@@ -374,10 +391,11 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
         if v.domain != by_name[v.id].outcome_labels():
             raise InputError(f"domain of {v.id!r} does not match the game's outcomes")
 
-    risk_orders, iso_edges = _classify_constraints(games, bcs)
+    searches = _Searches(games)
+    risk_orders, iso_edges = _classify_constraints(games, bcs, searches)
 
     orders: dict[str, tuple[str, ...]] = dict(risk_orders)
-    reduced = [g for g in games if is_fully_reduced(g)]
+    reduced = [g for g in games if searches.reduced[g.name]]
 
     neighbors: dict[str, set[str]] = {g.name: set() for g in reduced}
     for a, b in iso_edges:
@@ -399,14 +417,15 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
         seeds = sorted((n for n in component if n in orders), key=listed.index)
         if not seeds:
             rep = min(component, key=listed.index)
-            orders[rep] = _own_class_order(by_name[rep])
+            orders[rep] = _own_class_order(by_name[rep], searches)
             seeds = [rep]
         queue = list(seeds)
         while queue:
             cur = queue.pop(0)
             for nxt in sorted(neighbors[cur], key=listed.index):
                 if nxt not in orders:
-                    orders[nxt] = _transport_order(by_name[cur], by_name[nxt], orders[cur])
+                    orders[nxt] = _transport_order(by_name[cur], by_name[nxt], orders[cur],
+                                                   searches)
                     queue.append(nxt)
 
     for g in games:

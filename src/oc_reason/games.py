@@ -325,48 +325,118 @@ def _affine_fit(pairs: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fract
     return None
 
 
-def _multiset_prefilter(g1: NormalFormGame, g2: NormalFormGame) -> bool:
-    """Per-player payoff-multiset check: a positive affine map between the sorted
-    multisets must exist for an isomorphism to be possible."""
-    for i in range(g1.n_players):
-        u = sorted(g1.payoff_of(p, i) for p in g1.profiles())
-        v = sorted(g2.payoff_of(p, i) for p in g2.profiles())
-        if _affine_fit(list(zip(u, v))) is None:
-            return False
-    return True
+def _refine_actions(tables: Sequence[Mapping[Profile, int]],
+                    shape: tuple[int, ...]) -> list[list[list[int]]]:
+    """Colour refinement of the actions of same-shape games at once:
+    ``colours[t][i][a]`` for game t, player i, action a. ``tables[t]`` maps
+    each profile to an id of its payoff vector, shared across the games.
+
+    An action's colour starts as its player; each round it becomes its old
+    colour plus the sorted payoff ids of the profiles that use it, each
+    with the colours of the other actions in that profile. Rounds stop when
+    no class splits. Colours are shared across the games, so an isomorphism
+    between two of them (payoffs on one scale) preserves them.
+    """
+    colours = [[[i] * m for i, m in enumerate(shape)] for _ in tables]
+    classes = len(shape)
+    while True:
+        ids: dict = {}
+        refined = []
+        for table, old in zip(tables, colours):
+            seen = [[[] for _ in range(m)] for m in shape]
+            for profile, payoff in table.items():
+                context = tuple(old[j][a] for j, a in enumerate(profile))
+                for i, a in enumerate(profile):
+                    seen[i][a].append((payoff, context[:i] + context[i + 1:]))
+            refined.append([
+                [ids.setdefault((old[i][a], tuple(sorted(uses))), len(ids))
+                 for a, uses in enumerate(row)]
+                for i, row in enumerate(seen)])
+        if len(ids) == classes:
+            return colours
+        classes, colours = len(ids), refined
 
 
 def find_isomorphisms(g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphism]:
     """All isomorphisms g1 -> g2, in lexicographic order of the per-player
     bijection encoding.
 
-    Exhaustive over per-player action bijections (factorial in action counts;
-    intended for games with at most ~6 actions per player), with a per-player
-    payoff-multiset prefilter as the only pruning.
+    A positive affine map carries each player's sorted payoff multiset of
+    g2 onto g1's, so `_affine_fit` over the sorted multisets fixes the only
+    possible (scale, shift) per player before any search (scale 1 where a
+    player's payoffs are constant). With g2's payoffs carried into g1's
+    scale, colour refinement (`_refine_actions`, as in nauty/Traces) gives
+    each action its candidate images. A backtracking search then places one
+    action at a time, round-robin over the players, and checks each profile
+    as soon as its last action is placed.
+
+    Games whose actions refinement tells apart take a single path through
+    the search. It branches only where colour classes stay large, in
+    symmetric or regular games, and there the early profile checks cut off
+    branches that do not extend: on the constant, 0/1 and Latin-square
+    games tried (up to 10x10 and 5x5x5) the work follows the number of
+    isomorphisms, which is factorial only for highly symmetric games
+    ((m!)^n for constant payoffs). No polynomial bound holds in general: game isomorphism is at
+    least as hard as graph isomorphism.
     """
-    if g1.n_players != g2.n_players or g1.shape != g2.shape:
+    if g1.shape != g2.shape:
         return []
-    if not _multiset_prefilter(g1, g2):
+    fits = []
+    for i in range(g1.n_players):
+        fit = _affine_fit(list(zip(sorted(v[i] for v in g1.utilities.values()),
+                                   sorted(v[i] for v in g2.utilities.values()))))
+        if fit is None:
+            return []
+        fits.append(fit)
+    scales = tuple(s for s, _ in fits)
+    shifts = tuple(b for _, b in fits)
+    # payoff vectors as ids, g2's carried into g1's scale: from here on the
+    # search compares exact payoffs as integers
+    ids: dict[PayoffVector, int] = {}
+    own = {p: ids.setdefault(vector, len(ids)) for p, vector in g1.utilities.items()}
+    image = {q: ids.setdefault(tuple(s * x + b for (s, b), x in zip(fits, vector)), len(ids))
+             for q, vector in g2.utilities.items()}
+    shape = g1.shape
+    mine, theirs = _refine_actions((own, image), shape)
+    if any(sorted(a) != sorted(b) for a, b in zip(mine, theirs)):
         return []
+
+    # Actions are placed round-robin (action 0 of every player, then action
+    # 1, ...), so a profile is checked as soon as its last action is placed.
+    slots = [(i, a) for a in range(max(shape)) for i, m in enumerate(shape) if a < m]
+    position = {slot: k for k, slot in enumerate(slots)}
+    completed: list[list[tuple[Profile, int]]] = [[] for _ in slots]
+    for profile, payoff in own.items():
+        completed[max(position[(i, a)] for i, a in enumerate(profile))].append((profile, payoff))
+    candidates = [[b for b in range(shape[i]) if theirs[i][b] == mine[i][a]] for i, a in slots]
+
+    maps = [[-1] * m for m in shape]
+    used = [[False] * m for m in shape]
     out = []
-    profiles = list(g1.profiles())
-    per_player = [itertools.permutations(range(m)) for m in g1.shape]
-    for maps in itertools.product(*per_player):
-        scales, shifts = [], []
-        ok = True
-        for i in range(g1.n_players):
-            pairs = [
-                (g1.payoff_of(p, i), g2.payoff_of(tuple(maps[j][a] for j, a in enumerate(p)), i))
-                for p in profiles
-            ]
-            fit = _affine_fit(pairs)
-            if fit is None:
-                ok = False
+    stack = [iter(candidates[0])]
+    while stack:
+        k = len(stack) - 1
+        i, a = slots[k]
+        if maps[i][a] >= 0:   # withdraw this slot's previous choice
+            used[i][maps[i][a]] = False
+            maps[i][a] = -1
+        for b in stack[-1]:
+            if used[i][b]:
+                continue
+            maps[i][a] = b
+            if all(image[tuple(maps[j][x] for j, x in enumerate(p))] == payoff
+                   for p, payoff in completed[k]):
+                used[i][b] = True
                 break
-            scales.append(fit[0])
-            shifts.append(fit[1])
-        if ok:
-            out.append(Isomorphism(tuple(maps), tuple(scales), tuple(shifts)))
+            maps[i][a] = -1
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(slots):
+            out.append(Isomorphism(tuple(map(tuple, maps)), scales, shifts))
+        else:
+            stack.append(iter(candidates[len(stack)]))
+    out.sort(key=lambda iso: iso.maps)
     return out
 
 

@@ -248,7 +248,7 @@ def selection_from_json(obj: Mapping) -> AssumptionSelection:
     risk = []
     for entry in _list(_object(obj, "selection").get("decreasing_risk", []), "'decreasing_risk'"):
         g1, g2 = (_label(_field(entry, key, "decreasing-risk entry"), key) for key in ("g1", "g2"))
-        a1, a2 = ([_labels(profile, f"{key!r} profile") for profile in
+        a1, a2 = ([_label_pair(profile, f"{key!r} profile") for profile in
                    _pair(_field(entry, key, "decreasing-risk entry"), f"{key!r} profiles")]
                   for key in ("a1", "a2"))
         risk.append(DecreasingRiskPair(g1, g2, a1[0], a2[0], a1[1], a2[1]))

@@ -1,12 +1,14 @@
 """CLI: exit codes, reports, and determinism."""
 
+import copy
 import json
+import random
 
 import pytest
 
-from oc_reason import serialize
+from oc_reason import build_assumption_bcs, orders_for_assumptions, serialize
 from oc_reason.cli import main
-from oc_reason.fixtures import chicken_trio
+from oc_reason.fixtures import chicken_trio, stag_hunt_pair
 
 
 @pytest.fixture
@@ -61,6 +63,17 @@ class TestSolve:
 
     def test_unsat_exit_3(self, montanari_file, capsys):
         assert main(["solve", str(montanari_file)]) == 3
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_an_input_error(self, tmp_path, limit, capsys):
+        assert main(["--seed", "5", "gen", "random-csp", "--vars", "3", "--density", "0.3",
+                     "--out", str(tmp_path)]) == 0
+        path = str(tmp_path / "random_csp.json")
+        assert main(["solve", path]) == 0
+        assert "18 satisfying assignment(s)" in capsys.readouterr().out
+        assert main(["solve", path, "--limit", limit]) == 1
+        out, err = capsys.readouterr()
+        assert "satisfying" not in out and err.startswith("error: --limit")
 
 
 class TestCheckSi:
@@ -179,6 +192,11 @@ class TestGen:
                      "--domain", "3", "--out", str(b)]) == 0
         assert (a / "random_csp.json").read_bytes() == (b / "random_csp.json").read_bytes()
 
+    def test_random_csp_bad_arguments_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen", "random-csp", "--density", "2", "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestReports:
     def test_json_report_matches_text_and_is_deterministic(self, trio_file, tmp_path, capsys):
@@ -205,6 +223,97 @@ class TestReports:
             main(["check-si", str(trio_file), "Gc", "??", "--pref", "pareto"]),
         }
         assert codes <= {0, 1, 2, 3}
+
+
+class TestMutationFuzz:
+    """Seeded mutations of valid input files: one key or list item of one
+    file is dropped, retyped or wrapped in a list, and one subcommand that
+    reads the file runs in-process. Every run must end in a documented exit
+    code, never in an exception."""
+
+    RETYPED = (5, 1.5, "x", None, True, [], {})
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        left, right, labeling = stag_hunt_pair()
+        selection = {"dominance": True, "isomorphism": True, "nash": True,
+                     "nash_games": ["GL"], "isomorphism_pairs": [["GL", "GR"]],
+                     "decreasing_risk": [{"g1": "GL", "g2": "GR",
+                                          "a1": [list(labeling.g1_top), list(labeling.g2_top)],
+                                          "a2": [list(labeling.g1_safe),
+                                                 list(labeling.g2_safe)]}]}
+        bcs = build_assumption_bcs([left, right], serialize.selection_from_json(selection))
+        orders = orders_for_assumptions([left, right], bcs)
+        docs = {
+            "GL.json": serialize.game_to_json(left),
+            "GR.json": serialize.game_to_json(right),
+            "sel.json": selection,
+            "bcs.json": serialize.bcs_to_json(bcs, games={"GL": "GL.json", "GR": "GR.json"}),
+            "orders.json": serialize.orders_to_json(orders),
+            "joins.json": serialize.semilattices_to_json(
+                {x: list(zip(order, order[1:])) for x, order in orders.items()}),
+            "pref.json": {"kind": "explicit", "geq": [[["GR", "aH,aH"], ["GL", "aL,aL"]],
+                                                      [["GL", "aH,aH"], ["GR", "aL,aL"]]]},
+        }
+        for name, obj in docs.items():
+            serialize.write_json(tmp_path / name, obj)
+        return docs
+
+    COMMANDS = (
+        ["propagate", "bcs.json"],
+        ["solve", "bcs.json", "--limit", "3"],
+        ["check-si", "bcs.json", "GL", "GR", "--pref", "@pref.json"],
+        ["find-si", "bcs.json", "--pref", "pareto", "--mode", "propagation",
+         "--orders", "orders.json"],
+        ["closedness", "bcs.json", "--joins", "joins.json"],
+        ["assume", "GL.json", "GR.json", "--selection", "sel.json", "--out", "out.json"],
+        ["assume", "GL.json", "GR.json", "--discover-risk"],
+        ["gen", "csp-to-si", "--source", "bcs.json", "--out", "gen"],
+    )
+
+    @staticmethod
+    def _positions(obj, path=()):
+        """Every (path, value) below the root, dict keys and list items alike."""
+        items = obj.items() if isinstance(obj, dict) else \
+            enumerate(obj) if isinstance(obj, list) else ()
+        for key, value in items:
+            yield path + (key,), value
+            yield from TestMutationFuzz._positions(value, path + (key,))
+
+    def _mutate(self, rng, doc):
+        path, value = rng.choice(list(self._positions(doc)))
+        out = copy.deepcopy(doc)
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = rng.choice(("drop", "retype", "wrap"))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "retype":
+            parent[path[-1]] = rng.choice([v for v in self.RETYPED if type(v) is not type(value)])
+        else:
+            parent[path[-1]] = [value]
+        return f"{kind} {list(path)}", out
+
+    def test_mutated_inputs_end_in_an_exit_code(self, files, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(2024)
+        codes = set()
+        for _ in range(500):
+            argv = rng.choice(self.COMMANDS)
+            name = rng.choice([a for a in argv if a in files])
+            what, mutated = self._mutate(rng, files[name])
+            serialize.write_json(name, mutated)
+            try:
+                code = main(argv)
+            except Exception as exc:  # an escaped exception is the failure looked for
+                pytest.fail(f"{' '.join(argv)} with {name}: {what} raised {exc!r}")
+            finally:
+                serialize.write_json(name, files[name])
+            out, err = capsys.readouterr()
+            assert code in {0, 1, 2, 3} and "Traceback" not in out + err, (argv, name, what)
+            codes.add(code)
+        assert {0, 1} <= codes
 
 
 def _pinned_contradiction():

@@ -9,6 +9,7 @@ from oc_reason import (
     Bcs,
     Correspondence,
     InputError,
+    NormalFormGame,
     build_assumption_bcs,
     is_join_closed,
     is_max_closed,
@@ -168,6 +169,14 @@ class TestOrdersForAssumptions:
         with pytest.raises(InputError, match="not generated"):
             orders_for_assumptions(list(trio), bcs.with_constraints([foreign]))
 
+    def test_duplicate_game_names_rejected(self, trio):
+        ga, gb, gc = trio
+        bcs = build_assumption_bcs([gb, gc], AssumptionSelection(isomorphism=True))
+        # another game under Gc's name: searches are looked up by game name
+        twin = NormalFormGame("Gc", gb.actions, gb.utilities)
+        with pytest.raises(InputError, match="duplicate game names"):
+            orders_for_assumptions([twin, gb, gc], bcs)
+
     def test_random_game_sets(self, stag_pair):
         rng = random.Random(42)
         left, right, labeling = stag_pair
@@ -188,3 +197,67 @@ class TestOrdersForAssumptions:
             orders = orders_for_assumptions(games, bcs)
             report = is_max_closed(bcs, orders)
             assert report.closed, report.witness
+
+
+def _record_calls(monkeypatch, attr, modules):
+    """Replace `attr` in each module by a wrapper that records the names of
+    the games of every call; returns the shared record."""
+    calls = []
+    for module in modules:
+        original = getattr(module, attr)
+
+        def recording(*games, _original=original):
+            calls.append(tuple(g.name for g in games))
+            return _original(*games)
+
+        monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
+class TestSearchesOncePerCall:
+    @pytest.fixture
+    def game_set(self, trio, stag_pair, coordination):
+        ga, gb, gc = trio
+        left, right, labeling = stag_pair
+        gd = affine_copy(random.Random(43), gc, "Gd")
+        games = [ga, gb, gc, gd, left, right, coordination]
+        selection = AssumptionSelection(dominance=True, isomorphism=True, nash=True,
+                                        decreasing_risk=(labeling,))
+        return games, selection
+
+    def test_orders_for_assumptions(self, game_set, monkeypatch):
+        import oc_reason.assumptions as asm
+        import oc_reason.closedness as closedness
+        games, selection = game_set
+        bcs = build_assumption_bcs(games, selection)
+        searches = _record_calls(monkeypatch, "find_isomorphisms", (asm, closedness))
+        reductions = _record_calls(monkeypatch, "is_fully_reduced", (asm, closedness))
+        orders = orders_for_assumptions(games, bcs)
+        assert is_max_closed(bcs, orders).closed
+        assert ("Gb", "Gc") in searches and ("Gb", "Gb") in searches
+        assert len(searches) == len(set(searches))
+        assert sorted(reductions) == sorted({(g.name,) for g in games})
+
+    def test_build_assumption_bcs(self, game_set, monkeypatch):
+        import oc_reason.assumptions as asm
+        games, selection = game_set
+        reductions = _record_calls(monkeypatch, "is_fully_reduced", (asm,))
+        build_assumption_bcs(games, selection)
+        assert sorted(reductions) == sorted({(g.name,) for g in games})
+
+    def test_fixture_orders_are_pinned(self, game_set):
+        games, selection = game_set
+        bcs = build_assumption_bcs(games, selection)
+        assert [(c.source, c.target, len(c.pairs())) for c in bcs.constraints] == [
+            ("Ga", "Gb", 4), ("Gb", "Gc", 4), ("Gb", "Gd", 4), ("Gc", "Gd", 4),
+            ("Ga", "Ga", 2), ("Gb", "Gb", 2), ("Gc", "Gc", 2), ("Gd", "Gd", 2),
+            ("GL", "GL", 2), ("GR", "GR", 2), ("CO", "CO", 2), ("GL", "GR", 9)]
+        assert orders_for_assumptions(games, bcs) == {
+            "GL": ("aH,aL", "aL,aH", "aL,aL", "aH,aH"),
+            "GR": ("aH,aL", "aL,aH", "aL,aL", "aH,aH"),
+            "Gb": ("C,C", "C,D", "D,C", "D,D"),
+            "Gc": ("E,E", "E,F", "F,E", "F,F"),
+            "Gd": ("Ex,Ex", "Ex,Fx", "Fx,Ex", "Fx,Fx"),
+            "CO": ("A,A", "A,B", "B,A", "B,B"),
+            "Ga": ("C',C", "C',D", "C,C", "C,D", "D,C", "D,D"),
+        }

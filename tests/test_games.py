@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from oc_reason import (
     InputError,
+    Isomorphism,
     NormalFormGame,
     ParetoRelation,
     dominated_actions,
@@ -18,7 +20,55 @@ from oc_reason import (
     pure_nash_equilibria,
     strictly_dominates,
 )
+from oc_reason.games import _affine_fit
 from conftest import affine_copy, random_game
+
+
+def exhaustive_isomorphisms(g1, g2):
+    """Reference search: every product of per-player action bijections, each
+    with its own affine fit per player, behind a per-player check that a
+    positive affine map between the sorted payoff multisets exists."""
+    if g1.n_players != g2.n_players or g1.shape != g2.shape:
+        return []
+    for i in range(g1.n_players):
+        u = sorted(g1.payoff_of(p, i) for p in g1.profiles())
+        v = sorted(g2.payoff_of(p, i) for p in g2.profiles())
+        if _affine_fit(list(zip(u, v))) is None:
+            return []
+    out = []
+    profiles = list(g1.profiles())
+    for maps in itertools.product(*(itertools.permutations(range(m)) for m in g1.shape)):
+        fits = []
+        for i in range(g1.n_players):
+            fit = _affine_fit([
+                (g1.payoff_of(p, i), g2.payoff_of(tuple(maps[j][a] for j, a in enumerate(p)), i))
+                for p in profiles])
+            if fit is None:
+                break
+            fits.append(fit)
+        else:
+            out.append(Isomorphism(maps, tuple(s for s, _ in fits), tuple(b for _, b in fits)))
+    return out
+
+
+def payoff_game(name, shape, payoff):
+    """A game whose payoff vector at each profile is `payoff(profile)`."""
+    actions = tuple(tuple(f"p{i}a{k}" for k in range(m)) for i, m in enumerate(shape))
+    return NormalFormGame(name, actions, {
+        p: tuple(Fraction(x) for x in payoff(p))
+        for p in itertools.product(*(range(m) for m in shape))})
+
+
+def relabelled_copy(rng, game, name):
+    """`game` with every player's actions permuted and payoffs rescaled by a
+    random positive affine map: isomorphic to `game` by construction."""
+    maps = [rng.sample(range(m), m) for m in game.shape]
+    scales = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in maps]
+    shifts = [Fraction(rng.randint(-4, 4)) for _ in maps]
+    return NormalFormGame(name, game.actions, {
+        tuple(maps[i][a] for i, a in enumerate(p)):
+            tuple((x - shifts[i]) / scales[i] for i, x in enumerate(v))
+        for p, v in game.utilities.items()})
 
 
 class TestConstruction:
@@ -157,6 +207,54 @@ class TestIsomorphisms:
                 for b in find_isomorphisms(g2, g3):
                     c = a.compose(b)
                     assert (c.maps, c.scales, c.shifts) in all13
+
+
+class TestRefinementSearch:
+    KINDS = {
+        "constant": lambda rng, shape: lambda p: (1,) * len(shape),
+        "latin": lambda rng, shape: lambda p: tuple((sum(p) + i) % max(shape)
+                                                    for i in range(len(shape))),
+        "binary": lambda rng, shape: lambda p: tuple(rng.randint(0, 1) for _ in shape),
+        "random": lambda rng, shape: lambda p: tuple(rng.randint(0, 9) for _ in shape),
+    }
+
+    def test_equals_the_exhaustive_search_in_order(self):
+        rng = random.Random(6)
+        shapes = [(1, 1), (2, 2), (3, 3), (2, 3), (4, 3), (4, 4),
+                  (2, 2, 2), (3, 2, 2), (3, 3, 2), (3,)]
+        pairs = found = 0
+        for t in range(320):
+            # two 5x5 pairs only: the reference tries 14,400 bijections on each
+            shape = (5, 5) if t % 160 == 0 else rng.choice(shapes)
+            kind = ("latin", "random")[t // 160] if shape == (5, 5) else \
+                rng.choice(sorted(self.KINDS))
+            g = payoff_game("g", shape, self.KINDS[kind](rng, shape))
+            draw = 0.0 if shape == (5, 5) else rng.random()
+            if draw < 0.5:
+                h = relabelled_copy(rng, g, "h")
+            elif draw < 0.7:
+                h = g
+            else:
+                h = payoff_game("h", shape, self.KINDS[kind](rng, shape))
+            result = find_isomorphisms(g, h)
+            assert result == exhaustive_isomorphisms(g, h), (shape, kind)
+            pairs += 1
+            found += len(result)
+        assert pairs == 320 and found > 1000
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 4, 4)])
+    def test_larger_games_finish_quickly(self, shape):
+        rng = random.Random(7)
+        g = payoff_game("g", shape, self.KINDS["random"](rng, shape))
+        h = relabelled_copy(rng, g, "h")
+        cyclic = payoff_game("c", shape, self.KINDS["latin"](rng, shape))
+        start = time.perf_counter()
+        forward = find_isomorphisms(g, h)
+        automorphisms = find_isomorphisms(cyclic, cyclic)
+        assert time.perf_counter() - start < 1.0
+        assert forward and automorphisms
+        identity = tuple(tuple(range(m)) for m in shape)
+        assert automorphisms[0].maps == identity
 
 
 class TestNash:

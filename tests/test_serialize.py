@@ -187,6 +187,8 @@ class TestSelectionFormat:
 PAIR_BCS = {"variables": [{"id": "X", "domain": ["a", "b"]}, {"id": "Y", "domain": ["a", "b"]}],
             "constraints": []}
 ONE_GAME = {"name": "G", "players": 2, "actions": [["a"], ["a"]], "utilities": {"a,a": [1, 1]}}
+COORDINATION = {"name": "G", "players": 2, "actions": [["h", "l"], ["h", "l"]],
+                "utilities": {"h,h": [2, 2], "h,l": [0, 1], "l,h": [1, 0], "l,l": [1, 1]}}
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -238,6 +240,19 @@ ONE_GAME = {"name": "G", "players": 2, "actions": [["a"], ["a"]], "utilities": {
     pytest.param({"g.json": ONE_GAME, "sel.json": {"dominance": True, "dominance_games": ["nope"]}},
                  ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
                  id="selection-restriction-names-unknown-game"),
+    pytest.param({"g.json": COORDINATION, "sel.json": {"decreasing_risk": [
+                     {"g1": "G", "g2": "G", "a1": [["h"], ["h", "h"]],
+                      "a2": [["l", "l"], ["l", "l"]]}]}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-profile-of-one-action"),
+    pytest.param({}, ["gen", "random-csp", "--domain", "0", "--out", "out"],
+                 id="random-csp-empty-domain"),
+    pytest.param({}, ["gen", "random-csp", "--vars", "-3", "--out", "out"],
+                 id="random-csp-negative-variable-count"),
+    pytest.param({}, ["gen", "random-csp", "--density", "2", "--out", "out"],
+                 id="random-csp-density-above-one"),
+    pytest.param({}, ["gen", "random-csp", "--density", "-0.5", "--out", "out"],
+                 id="random-csp-negative-density"),
 ])
 def test_malformed_input_exits_1_without_traceback(files, argv, tmp_path, monkeypatch, capsys):
     from oc_reason.cli import main
