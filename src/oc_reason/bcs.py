@@ -21,7 +21,9 @@ narrowing happened, which is what ``PropagatedBcs.narrowed()`` reports.
 The worklist loop is seeded by its caller. ``path_consistency`` queues every
 variable pair of the normalized store; ``refuted`` narrows one relation of a
 copy of a fixed point's store and queues that pair alone, since every other
-relation is already consistent there.
+relation is already consistent there. The worklist stops at the first
+relation it empties and empties the rest, which is the fixed point the full
+sweeps reach.
 """
 
 from __future__ import annotations
@@ -338,7 +340,12 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]]) -> bool:
     shrank. Queuing a pair whenever its relation shrinks keeps the invariant
     that every unqueued pair has been revised against the current store, so
     the loop ends at the greatest fixed point below ``rel`` provided every
-    pair whose relation is not already consistent with the rest is seeded."""
+    pair whose relation is not already consistent with the rest is seeded.
+
+    The first revision that empties a relation empties the whole store and
+    ends the loop: revising x->k through an empty x->y empties x->k for
+    every k, the diagonal included, and then every k->j through x. So one
+    empty relation makes the all-empty store the greatest fixed point."""
     n = len(rel)
     queue = deque(seeds)
     queued = set(queue)
@@ -350,6 +357,10 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]]) -> bool:
             # shrink (a,k) through b, and (b,k) through a
             for (x, t, y) in ((a, b, k), (b, a, k)):
                 if _revise(rel, x, t, y):
+                    if not any(rel[x][y]):
+                        for row in rel:
+                            row[:] = [(0,) * len(rows) for rows in row]
+                        return True
                     shrank = True
                     key = (min(x, y), max(x, y))
                     if key not in queued:
@@ -472,16 +483,22 @@ def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     a copy of the fixed point's store is narrowed by the complement and
     propagated with the claim's pair alone queued, since every other relation
     is already consistent (the incremental step of PC-2, Mackworth 1977). An
-    empty relation in the fixed point refutes every claim.
+    empty relation in the fixed point refutes every claim, and so does an
+    empty narrowed relation, without propagating.
     """
     _check_claim(propagated.bcs, claim)
     if propagated.has_empty:
         return True
     x, y = propagated.bcs.index(claim.source), propagated.bcs.index(claim.target)
-    rel = [list(row) for row in propagated._store]
-    _narrow(rel, x, y, tuple(a & b for a, b in zip(rel[x][y], claim.complement().rows)))
+    store = propagated._store
+    narrowed = tuple(a & b for a, b in zip(store[x][y], claim.complement().rows))
+    if not any(narrowed):
+        return True
+    rel = [list(row) for row in store]
+    _narrow(rel, x, y, narrowed)
     _propagate(rel, [(min(x, y), max(x, y))])
-    return any(not any(rows) for row in rel for rows in row)
+    # the loop empties every relation as soon as it empties one
+    return not any(rel[x][y])
 
 
 def pin(var: str, domain: Sequence[str], value: str) -> Correspondence:

@@ -16,6 +16,12 @@ with that pair alone queued: the greatest fixed point is monotone, so
 gfp(B and C) = gfp(gfp(B) and C) (the incremental argument of PC-2). A single
 :func:`decide_si` call does not go through the fixed point: for one pair,
 propagating the augmented structure directly is one propagation, not two.
+
+A claim on x and y compares only the outcomes of x and y, so a preference is
+tabulated per ordered variable pair on first read (:class:`Preference`), not
+over every pair of outcomes of every game up front: one :func:`decide_si`
+call costs |x|·|y| comparisons for the weak claim and twice that for the
+strict one, while ``find_any_si`` reads every block, as eager tabulation did.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bcs import (
     Assignment,
@@ -32,6 +38,8 @@ from .bcs import (
     PropagatedBcs,
     derivable,
     enumerate_satisfying,
+    intersect,
+    inverse,
     path_consistency,
     refuted,
 )
@@ -46,56 +54,70 @@ OutcomeKey = tuple[str, str]
 class Preference:
     """A preorder over outcomes keyed by (variable, outcome label).
 
-    ``rows[i]`` is a bitmask: bit j set iff key i is weakly preferred to key
-    j. The strict relation is derived: a > b iff a >= b and not b >= a.
+    ``compare(a, b)`` says whether outcome a is weakly preferred to outcome
+    b. It is tabulated one ordered variable pair at a time, the first time
+    that pair is read: ``block(u, v)`` holds, for each outcome of u, a
+    bitmask over v's domain with bit j set iff that outcome is weakly
+    preferred to v's j-th outcome. A query that compares two variables thus
+    costs the comparisons of their blocks, not of every pair of outcomes
+    across all variables. The strict relation is derived: a > b iff a >= b
+    and not b >= a. Reflexivity is checked at construction.
     """
 
     domains: Mapping[str, tuple[str, ...]]
-    keys: tuple[OutcomeKey, ...]
-    rows: tuple[int, ...]
+    compare: Callable[[OutcomeKey, OutcomeKey], bool]
 
     def __post_init__(self):
-        index = {k: i for i, k in enumerate(self.keys)}
-        object.__setattr__(self, "_index", index)
-        for i in range(len(self.keys)):
-            if not self.rows[i] >> i & 1:
-                raise InputError("preference must be reflexive")
+        object.__setattr__(self, "_position", {
+            var: {o: i for i, o in enumerate(dom)} for var, dom in self.domains.items()})
+        object.__setattr__(self, "_blocks", {})
+        for var, dom in self.domains.items():
+            for o in dom:
+                if not self.compare((var, o), (var, o)):
+                    raise InputError("preference must be reflexive")
 
-    def _at(self, key: OutcomeKey) -> int:
+    def _at(self, key: OutcomeKey) -> tuple[str, int]:
         try:
-            return self._index[key]
-        except KeyError as exc:
+            var, label = key
+            return var, self._position[var][label]
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"unknown outcome {key!r} in preference") from exc
 
+    def block(self, u: str, v: str) -> tuple[int, ...]:
+        """The weak preference from u's outcomes to v's, one bitmask over
+        v's domain per outcome of u, tabulated on first use."""
+        rows = self._blocks.get((u, v))
+        if rows is None:
+            compare, targets = self.compare, [(v, b) for b in self.domains[v]]
+            rows = tuple(sum(1 << j for j, b in enumerate(targets) if compare((u, a), b))
+                         for a in self.domains[u])
+            self._blocks[(u, v)] = rows
+        return rows
+
     def geq(self, a: OutcomeKey, b: OutcomeKey) -> bool:
-        return bool(self.rows[self._at(a)] >> self._at(b) & 1)
+        (u, i), (v, j) = self._at(a), self._at(b)
+        return bool(self.block(u, v)[i] >> j & 1)
 
     def gt(self, a: OutcomeKey, b: OutcomeKey) -> bool:
-        ia, ib = self._at(a), self._at(b)
-        return bool(self.rows[ia] >> ib & 1) and not self.rows[ib] >> ia & 1
+        (u, i), (v, j) = self._at(a), self._at(b)
+        return bool(self.block(u, v)[i] >> j & 1) and not self.block(v, u)[j] >> i & 1
 
     @classmethod
     def from_relation(cls, domains: Mapping[str, tuple[str, ...]],
-                      geq) -> "Preference":
-        """Tabulate a reflexive, transitive comparison callable over all
-        outcome keys. Equivalent outcomes (mutual weak preference) are
-        allowed; the strict relation excludes them by derivation."""
-        keys = tuple((var, o) for var, dom in domains.items() for o in dom)
-        rows = []
-        for a in keys:
-            mask = 0
-            for j, b in enumerate(keys):
-                if geq(a, b):
-                    mask |= 1 << j
-            rows.append(mask)
-        return cls(dict(domains), keys, tuple(rows))
+                      geq: Callable[[OutcomeKey, OutcomeKey], bool]) -> "Preference":
+        """A preference from a reflexive, transitive comparison callable,
+        called per variable pair as blocks are read. Equivalent outcomes
+        (mutual weak preference) are allowed; the strict relation excludes
+        them by derivation."""
+        return cls(dict(domains), geq)
 
     @classmethod
     def from_pairs(cls, domains: Mapping[str, tuple[str, ...]],
                    geq_pairs: Sequence[tuple[OutcomeKey, OutcomeKey]]) -> "Preference":
         """Explicit preference: the listed pairs, closed under reflexivity and
         transitivity; cycles that would collapse the strict relation between
-        distinct outcomes are rejected."""
+        distinct outcomes are rejected. The closure needs every key, so it is
+        computed here, over all keys at once; blocks are read from it."""
         keys = tuple((var, o) for var, dom in domains.items() for o in dom)
         index = {k: i for i, k in enumerate(keys)}
         rows = [1 << i for i in range(len(keys))]
@@ -122,11 +144,17 @@ class Preference:
                     raise InputError(
                         f"preference cycle between {keys[i]!r} and {keys[j]!r} "
                         "would collapse the strict relation")
-        return cls(dict(domains), keys, tuple(rows))
+        return cls(dict(domains), lambda a, b: bool(rows[index[a]] >> index[b] & 1))
 
 
-def _game_domains(games: Sequence[NormalFormGame]) -> dict[str, tuple[str, ...]]:
-    return {g.name: g.outcome_labels() for g in games}
+def _outcome_payoffs(games: Sequence[NormalFormGame]) -> tuple[dict, dict]:
+    """Each game's outcome labels by name, and the payoff vector of every
+    outcome key; every profile is labelled once."""
+    domains, payoff = {}, {}
+    for g in games:
+        domains[g.name] = labels = g.outcome_labels()
+        payoff.update(((g.name, o), g.payoff(p)) for o, p in zip(labels, g.profiles()))
+    return domains, payoff
 
 
 def pareto_preference(games: Sequence[NormalFormGame]) -> Preference:
@@ -137,35 +165,39 @@ def pareto_preference(games: Sequence[NormalFormGame]) -> Preference:
     counts = {g.n_players for g in games}
     if len(counts) > 1:
         raise InputError("games with different player counts are not Pareto-comparable")
-    payoff = {(g.name, g.profile_label(p)): g.payoff(p)
-              for g in games for p in g.profiles()}
+    domains, payoff = _outcome_payoffs(games)
 
     def geq(a, b):
         return all(x >= y for x, y in zip(payoff[a], payoff[b]))
 
-    return Preference.from_relation(_game_domains(games), geq)
+    return Preference.from_relation(domains, geq)
 
 
 def player_preference(games: Sequence[NormalFormGame], player: int) -> Preference:
-    """One player's utility comparison across all listed games."""
+    """One player's utility comparison across all listed games. ``player``
+    is a 0-based index; messages name players from 1, as the CLI does."""
     for g in games:
         if not 0 <= player < g.n_players:
-            raise InputError(f"no player {player} in game {g.name!r}")
-    payoff = {(g.name, g.profile_label(p)): g.payoff_of(p, player)
-              for g in games for p in g.profiles()}
-    return Preference.from_relation(_game_domains(games), lambda a, b: payoff[a] >= payoff[b])
+            raise InputError(f"no player {player + 1} in game {g.name!r}: it has "
+                             f"{g.n_players} players")
+    domains, payoff = _outcome_payoffs(games)
+    return Preference.from_relation(
+        domains, lambda a, b: payoff[a][player] >= payoff[b][player])
 
 
 def improvement_oc(x: str, y: str, pref: Preference, strict: bool) -> Correspondence:
     """The improvement claim as a correspondence: each outcome of x maps to
-    the outcomes of y (weakly or strictly) preferred to it."""
+    the outcomes of y (weakly or strictly) preferred to it. It is read from
+    the preference's (y, x) block, and for the strict claim also from its
+    (x, y) block."""
     for var in (x, y):
         if var not in pref.domains:
             raise InputError(f"unknown variable {var!r} in preference")
-    better = pref.gt if strict else pref.geq
-    pairs = [(o, o2) for o in pref.domains[x] for o2 in pref.domains[y]
-             if better((y, o2), (x, o))]
-    return Correspondence.from_pairs(x, y, pref.domains[x], pref.domains[y], pairs)
+    dx, dy = pref.domains[x], pref.domains[y]
+    weak = inverse(Correspondence(y, x, dy, dx, pref.block(y, x)))
+    if not strict:
+        return weak
+    return intersect(weak, Correspondence(x, y, dx, dy, pref.block(x, y)).complement())
 
 
 class DecisionMode(Enum):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oc_reason import NormalFormGame
+from oc_reason import Bcs, Correspondence, NormalFormGame
 from oc_reason.fixtures import (
     chicken_trio,
     matching_pennies,
@@ -78,3 +78,16 @@ def with_dominated_row(rng: random.Random, game: NormalFormGame, name: str) -> N
 def brute_force_compose(pairs_ab, pairs_bc):
     """Independent composition oracle: exists-an-intermediate over all pairs."""
     return {(a, c) for a, b in pairs_ab for b2, c in pairs_bc if b == b2}
+
+
+def coloring_bcs(rng, n, density):
+    """3-colouring of a random graph: not-equal constraints on its edges.
+    Such structures are often path consistent yet refuted by propagation
+    once one relation is narrowed, which random relations rarely are."""
+    dom = ("r", "g", "b")
+    names = [f"X{i + 1}" for i in range(n)]
+    differ = [(u, v) for u in dom for v in dom if u != v]
+    return Bcs.create([(x, dom) for x in names],
+                      [Correspondence.from_pairs(x, y, dom, dom, differ)
+                       for i, x in enumerate(names) for y in names[i + 1:]
+                       if rng.random() < density])

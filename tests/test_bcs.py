@@ -24,8 +24,9 @@ from oc_reason import (
     path_consistency_sweeps,
     pin,
     random_bcs,
+    refuted,
 )
-from conftest import brute_force_compose
+from conftest import brute_force_compose, coloring_bcs
 
 
 def rel(src, tgt, sd, td, pairs):
@@ -194,6 +195,57 @@ class TestPathConsistency:
             assert fast.psi.keys() == slow.psi.keys()
             assert all(fast.psi[k].rows == slow.psi[k].rows for k in fast.psi)
             assert (fast.has_empty, fast.narrowed()) == (slow.has_empty, slow.narrowed())
+
+    def test_early_exit_equals_sweeps(self):
+        # the worklist stops at the first relation it empties and empties the
+        # rest; the sweeps run on to the same all-empty fixed point
+        rng = random.Random(27)
+        structures = []
+        for k, b in enumerate(seeded_structures(27, 180)):
+            if k % 3 == 2:
+                x, y = rng.choice(b.variables), rng.choice(b.variables)
+                b = b.with_constraints([Correspondence.empty(x.id, y.id, x.domain, y.domain)])
+            structures.append(b)
+        dom = ("a", "b")
+        all_empty = Bcs.create([("X", dom), ("Y", dom)], [
+            Correspondence.empty(s, t, dom, dom) for s, t in (("X", "X"), ("Y", "Y"), ("X", "Y"))])
+        derived_empty = 0
+        for b in structures + [all_empty]:
+            fast = path_consistency(b)
+            slow = path_consistency_sweeps(b)
+            assert fast.psi.keys() == slow.psi.keys()
+            assert all(fast.psi[k].rows == slow.psi[k].rows for k in fast.psi)
+            assert (fast.has_empty, fast.narrowed()) == (slow.has_empty, slow.narrowed())
+            if fast.has_empty:
+                assert all(c.is_everywhere_empty() for c in fast.psi.values())
+                given = [given_relation(b, x.id, y.id) for x in b.variables for y in b.variables]
+                derived_empty += not any(c.is_everywhere_empty() for c in given)
+        assert sum(path_consistency(b).has_empty for b in structures) >= 60
+        with_empty = sum(path_consistency(b).has_empty for b in structures)
+        assert with_empty >= 100 and len(structures) - with_empty >= 50
+        assert derived_empty >= 10
+        fast = path_consistency(all_empty)
+        assert fast.has_empty and not fast.narrowed()
+
+    def test_refuted_equals_propagating_from_scratch(self):
+        # both ways of answering: the narrowed relation is empty already, or
+        # the restarted worklist has to empty it
+        rng = random.Random(28)
+        at_once = propagated = 0
+        colorings = [coloring_bcs(rng, rng.randint(2, 8), 0.6) for _ in range(60)]
+        for b in list(seeded_structures(28, 60)) + colorings:
+            fixed_point = path_consistency(b)
+            for _ in range(4):
+                x, y = rng.choice(b.variables), rng.choice(b.variables)
+                claim = random_relation(rng, x.id, y.id, x.domain, y.domain, p=0.6)
+                scratch = path_consistency(b.with_constraints([claim.complement()]))
+                assert refuted(fixed_point, claim) == scratch.has_empty
+                if fixed_point.has_empty:
+                    continue
+                narrowed = intersect(fixed_point.pair(x.id, y.id), claim.complement())
+                at_once += narrowed.is_everywhere_empty()
+                propagated += scratch.has_empty and not narrowed.is_everywhere_empty()
+        assert at_once >= 30 and propagated >= 30
 
     def test_narrowed_means_some_pair_left_its_given_relation(self):
         for b in seeded_structures(25, 90):

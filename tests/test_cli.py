@@ -99,6 +99,11 @@ class TestCheckSi:
         assert main(["check-si", str(trio_file), "Ga", "Gc",
                      "--pref", "player:1", "--strict"]) == 0
 
+    def test_missing_player_is_named_as_typed(self, trio_file, capsys):
+        # player:N is 1-based on the command line, and so is the message
+        assert main(["check-si", str(trio_file), "Ga", "Gc", "--pref", "player:9"]) == 1
+        assert "no player 9 in game 'Ga': it has 2 players" in capsys.readouterr().err
+
 
 class TestFindSi:
     def test_on_variable(self, trio_file, capsys):

@@ -12,6 +12,7 @@ from oc_reason import (
     InputError,
     Preference,
     build_assumption_bcs,
+    csp_to_si_games,
     decide_si,
     enumerate_satisfying,
     find_any_si,
@@ -27,9 +28,11 @@ from oc_reason import (
     random_bcs,
     random_max_closed_bcs,
     refuted,
+    serialize,
 )
+from oc_reason.cli import main
 from oc_reason.fixtures import single_outcome_game
-from conftest import random_game
+from conftest import coloring_bcs, random_game
 
 
 @pytest.fixture
@@ -73,7 +76,7 @@ class TestPreferences:
         _, gb, _ = trio
         pref2 = player_preference([gb], 1)
         assert pref2.gt(("Gb", "C,D"), ("Gb", "D,D"))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="no player 3 in game 'Gb'"):
             player_preference([gb], 2)
 
     def test_explicit_closure_and_cycles(self):
@@ -85,6 +88,134 @@ class TestPreferences:
         with pytest.raises(InputError, match="cycle"):
             Preference.from_pairs(domains, [
                 (("X", "a"), ("X", "b")), (("X", "b"), ("X", "a"))])
+
+
+def eager_reference(domains, geq):
+    """The reference tabulation: every outcome key compared with every key
+    up front, K^2 calls for K keys. Returns the tabulated weak relation."""
+    keys = [(var, o) for var, dom in domains.items() for o in dom]
+    index = {k: i for i, k in enumerate(keys)}
+    rows = [sum(1 << j for j, b in enumerate(keys) if geq(a, b)) for a in keys]
+    return lambda a, b: bool(rows[index[a]] >> index[b] & 1)
+
+
+def reference_claim(domains, geq, x, y, strict):
+    better = (lambda a, b: geq(a, b) and not geq(b, a)) if strict else geq
+    return Correspondence.from_pairs(x, y, domains[x], domains[y], [
+        (o, o2) for o in domains[x] for o2 in domains[y] if better((y, o2), (x, o))])
+
+
+def _closure(keys, pairs):
+    """Reflexive-transitive closure of explicit pairs, by Warshall's loop."""
+    geq = {(a, b) for a, b in pairs} | {(a, a) for a in keys}
+    for t in keys:
+        geq |= {(a, b) for a in keys if (a, t) in geq for b in keys if (t, b) in geq}
+    return geq
+
+
+def _seeded_preferences():
+    """Seeded (kind, preference, domains, reference weak relation): Pareto
+    and player preferences over random games with payoffs in 0..2, so ties
+    (mutual weak preference) are common; `from_relation` over random payoff
+    vectors; explicit preferences from random pairs."""
+    rng = random.Random(71)
+    for k in range(120):
+        games = [random_game(rng, f"G{i}", payoff_range=(0, 2))
+                 for i in range(rng.randint(1, 5))]
+        domains = {g.name: g.outcome_labels() for g in games}
+        payoff = {(g.name, g.profile_label(p)): g.payoff(p) for g in games for p in g.profiles()}
+        kind = ("pareto", "player", "relation", "explicit")[k % 4]
+        if kind == "pareto":
+            yield kind, pareto_preference(games), domains, eager_reference(
+                domains, lambda a, b: all(u >= v for u, v in zip(payoff[a], payoff[b])))
+        elif kind == "player":
+            i = rng.randint(0, 1)
+            yield kind, player_preference(games, i), domains, eager_reference(
+                domains, lambda a, b: payoff[a][i] >= payoff[b][i])
+        elif kind == "relation":
+            values = {key: (rng.randint(0, 2), rng.randint(0, 2)) for key in payoff}
+
+            def geq(a, b):
+                return all(u >= v for u, v in zip(values[a], values[b]))
+            yield kind, Preference.from_relation(domains, geq), domains, eager_reference(domains, geq)
+        else:
+            keys = list(payoff)
+            pairs = [(a, b) for a in keys for b in keys if rng.random() < 0.05]
+            try:
+                pref = Preference.from_pairs(domains, pairs)
+            except InputError:
+                continue  # a cycle; the closure check is tested on its own
+            closed = _closure(keys, pairs)
+            yield kind, pref, domains, eager_reference(domains, lambda a, b: (a, b) in closed)
+
+
+class TestQueryScopedPreferences:
+    def test_blocks_equal_the_eager_tabulation(self):
+        # claims are built first, so geq/gt then read blocks filled both ways
+        kinds, ties = set(), 0
+        for kind, pref, domains, ref in _seeded_preferences():
+            kinds.add(kind)
+            names = list(domains)
+            for x in names:
+                for y in names:
+                    for strict in (False, True):
+                        assert improvement_oc(x, y, pref, strict).rows == \
+                            reference_claim(domains, ref, x, y, strict).rows
+            keys = [(var, o) for var in names for o in domains[var]]
+            for a in keys:
+                for b in keys:
+                    assert pref.geq(a, b) == ref(a, b)
+                    assert pref.gt(a, b) == (ref(a, b) and not ref(b, a))
+                    ties += a != b and ref(a, b) and ref(b, a)
+        assert kinds == {"pareto", "player", "relation", "explicit"}
+        assert ties >= 100
+
+    def test_unknown_outcomes_raise(self, trio):
+        games = list(trio)
+        domains = {g.name: g.outcome_labels() for g in games}
+        for pref in (pareto_preference(games), player_preference(games, 1),
+                     Preference.from_pairs(domains, [])):
+            known = ("Ga", "C,C")
+            for bad in (("Ga", "nope"), ("Nope", "C,C"), ("Ga",), None, ("Ga", ["C,C"])):
+                for compare in (pref.geq, pref.gt):
+                    with pytest.raises(InputError, match="unknown outcome"):
+                        compare(bad, known)
+                    with pytest.raises(InputError, match="unknown outcome"):
+                        compare(known, bad)
+            for strict in (False, True):
+                with pytest.raises(InputError, match="unknown variable"):
+                    improvement_oc("Nope", "Ga", pref, strict)
+
+    def test_irreflexive_relation_is_rejected(self):
+        with pytest.raises(InputError, match="reflexive"):
+            Preference.from_relation({"X": ("a", "b")}, lambda a, b: a != b)
+
+
+def test_check_si_compares_only_the_queried_games(tmp_path, monkeypatch):
+    # reflexivity costs one comparison per outcome; then the weak claim reads
+    # block (Gp, G) and the strict claim also block (G, Gp)
+    rng = random.Random(72)
+    inst = csp_to_si_games(random_bcs(rng, 14, 3, density=0.4))
+    assert len(inst.games) >= 15
+    refs = {g.name: f"games/{g.name}.json" for g in inst.games}
+    (tmp_path / "games").mkdir()
+    for g in inst.games:
+        serialize.write_json(tmp_path / refs[g.name], serialize.game_to_json(g))
+    serialize.write_json(tmp_path / "bcs.json", serialize.bcs_to_json(inst.bcs, games=refs))
+    calls = []
+    plain = Preference.from_relation.__func__
+
+    def counting(cls, domains, geq):
+        return plain(cls, domains, lambda a, b: calls.append(a) or geq(a, b))
+    monkeypatch.setattr(Preference, "from_relation", classmethod(counting))
+    k = sum(len(g.outcome_labels()) for g in inst.games)
+    x, y = (len(g.outcome_labels()) for g in inst.games[:2])
+    for strict, bound in ((False, k + x * y), (True, k + 2 * x * y)):
+        calls.clear()
+        main(["check-si", str(tmp_path / "bcs.json"), "G", "Gp", "--pref", "pareto",
+              *(["--strict"] if strict else [])])
+        assert 0 < len(calls) <= bound
+    assert k + 2 * x * y < k * k // 20
 
 
 class TestImprovementOc:
@@ -243,19 +374,6 @@ class TestFindSi:
         assert find_any_si(bcs, pref, strict=False) == []
 
 
-def _coloring_bcs(rng, n, density):
-    """3-colouring of a random graph: not-equal constraints on its edges.
-    Such structures are often path consistent yet refuted by propagation
-    once one relation is narrowed, which random relations rarely are."""
-    dom = ("r", "g", "b")
-    names = [f"X{i + 1}" for i in range(n)]
-    differ = [(u, v) for u in dom for v in dom if u != v]
-    return Bcs.create([(x, dom) for x in names],
-                      [Correspondence.from_pairs(x, y, dom, dom, differ)
-                       for i, x in enumerate(names) for y in names[i + 1:]
-                       if rng.random() < density])
-
-
 def _differential_structures():
     """160 seeded structures of 1 to 8 variables with domains up to 4: random
     ones and graph colourings at three densities, and every fourth
@@ -270,7 +388,7 @@ def _differential_structures():
             bcs, orders = random_max_closed_bcs(rng, n, 4)
             yield rng, bcs, orders, joins_from_orders(bcs, orders)
         elif k % 4 == 1:
-            yield rng, _coloring_bcs(rng, n, density), None, None
+            yield rng, coloring_bcs(rng, n, density), None, None
         else:
             yield rng, random_bcs(rng, n, 4, density=density), None, None
 
