@@ -5,12 +5,17 @@ dominated strategies, isomorphic play of isomorphic games, pure-Nash
 self-loops, and the decreasing-risk correspondence between labeled 2x2
 coordination pairs. `build_assumption_bcs` assembles any selection of them
 into a binary constraint structure with one variable per game.
+
+Each family's constraints are derived in `_derive_constraints` alone, which
+`closedness` also runs to learn which family generated each constraint; the
+`_Searches` memo there derives reduction flags and isomorphisms once per call.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .bcs import Bcs, Correspondence, Variable
 from .errors import InputError
@@ -113,11 +118,18 @@ def _oc_isomorphism(g1: NormalFormGame, g2: NormalFormGame,
 
 def oc_nash(game: NormalFormGame) -> Correspondence:
     """Self-loop correspondence keeping exactly the pure Nash equilibria."""
-    equilibria = pure_nash_equilibria(game)
-    if not equilibria:
+    oc = _oc_nash(game, pure_nash_equilibria(game))
+    if oc is None:
         raise InputError(
             f"game {game.name!r} has no pure Nash equilibrium; "
             "the pure-Nash assumption does not apply")
+    return oc
+
+
+def _oc_nash(game: NormalFormGame, equilibria) -> Correspondence | None:
+    """`oc_nash` from the game's pure equilibria; None when there are none."""
+    if not equilibria:
+        return None
     dom = game.outcome_labels()
     return Correspondence.from_pairs(game.name, game.name, dom, dom,
                                      [(o.label, o.label) for o in equilibria])
@@ -234,6 +246,74 @@ def discover_risk_labelings(g1: NormalFormGame, g2: NormalFormGame) -> list[Decr
     return labelings
 
 
+class _Searches:
+    """Reduction flags and isomorphism lists of one game list, each derived
+    at most once during the call that made it."""
+
+    def __init__(self):
+        self._reduced: dict[str, bool] = {}
+        self._isomorphisms: dict[tuple[str, str], list[Isomorphism]] = {}
+
+    def reduced(self, game: NormalFormGame) -> bool:
+        if game.name not in self._reduced:
+            self._reduced[game.name] = is_fully_reduced(game)
+        return self._reduced[game.name]
+
+    def isomorphisms(self, g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphism]:
+        key = (g1.name, g2.name)
+        if key not in self._isomorphisms:
+            self._isomorphisms[key] = find_isomorphisms(g1, g2)
+        return self._isomorphisms[key]
+
+
+def _derive_constraints(games: list[NormalFormGame], selection: AssumptionSelection,
+                        searches: _Searches) -> Iterator[tuple[str, Correspondence, object]]:
+    """Every constraint the selection generates over the games, in order, as
+    (family, constraint, payload): the family is "dominance", "isomorphism",
+    "nash" or "risk"; the payload is the game-name pair of an isomorphism
+    constraint, the labeling of a decreasing-risk one and None otherwise."""
+    names = [g.name for g in games]
+    if selection.dominance:
+        allowed = set(names if selection.dominance_games is None else selection.dominance_games)
+        for g in games:
+            if g.name not in allowed:
+                continue
+            sub, oc = oc_dominance(g)
+            if sub.same_payoffs(g):
+                continue
+            for other in games:
+                if other.name != g.name and other.same_payoffs(sub):
+                    yield "dominance", Correspondence(
+                        g.name, other.name, oc.source_domain, oc.target_domain, oc.rows), None
+
+    if selection.isomorphism:
+        allowed_pairs = None
+        if selection.isomorphism_pairs is not None:
+            allowed_pairs = {frozenset(p) for p in selection.isomorphism_pairs}
+        for g1, g2 in itertools.combinations(games, 2):
+            if allowed_pairs is not None and frozenset((g1.name, g2.name)) not in allowed_pairs:
+                continue
+            if not (searches.reduced(g1) and searches.reduced(g2)):
+                continue
+            oc = _oc_isomorphism(g1, g2, searches.isomorphisms(g1, g2))
+            if oc is not None:
+                yield "isomorphism", oc, (g1.name, g2.name)
+
+    if selection.nash:
+        allowed = set(names if selection.nash_games is None else selection.nash_games)
+        for g in games:
+            oc = _oc_nash(g, pure_nash_equilibria(g)) if g.name in allowed else None
+            if oc is not None:
+                yield "nash", oc, None
+
+    by_name = {g.name: g for g in games}
+    for pair in selection.decreasing_risk:
+        if pair.g1 not in by_name or pair.g2 not in by_name:
+            raise InputError(f"decreasing-risk pair references unknown games "
+                             f"({pair.g1!r}, {pair.g2!r})")
+        yield "risk", oc_decreasing_risk(by_name[pair.g1], by_name[pair.g2], pair), pair
+
+
 def build_assumption_bcs(games: list[NormalFormGame],
                          selection: AssumptionSelection) -> Bcs:
     """Assemble the selected assumptions over a game list into a BCS.
@@ -250,55 +330,14 @@ def build_assumption_bcs(games: list[NormalFormGame],
     names = [g.name for g in games]
     if len(set(names)) != len(names):
         raise InputError("duplicate game names")
-    by_name = {g.name: g for g in games}
     restricted = [("dominance_games", selection.dominance_games or ()),
                   ("nash_games", selection.nash_games or ()),
                   ("isomorphism_pairs", [n for p in selection.isomorphism_pairs or () for n in p])]
     for key, listed in restricted:
-        unknown = [n for n in listed if n not in by_name]
+        unknown = [n for n in listed if n not in names]
         if unknown:
             raise InputError(f"{key} names unknown games {unknown}")
 
-    variables = [Variable(g.name, g.outcome_labels()) for g in games]
-    constraints: list[Correspondence] = []
-
-    if selection.dominance:
-        allowed = set(names if selection.dominance_games is None else selection.dominance_games)
-        for g in games:
-            if g.name not in allowed:
-                continue
-            sub, oc = oc_dominance(g)
-            if sub.same_payoffs(g):
-                continue
-            for other in games:
-                if other.name != g.name and other.same_payoffs(sub):
-                    constraints.append(Correspondence(
-                        g.name, other.name, oc.source_domain, oc.target_domain, oc.rows))
-
-    if selection.isomorphism:
-        allowed_pairs = None
-        if selection.isomorphism_pairs is not None:
-            allowed_pairs = {frozenset(p) for p in selection.isomorphism_pairs}
-        reduced = {g.name: is_fully_reduced(g) for g in games}
-        for g1, g2 in itertools.combinations(games, 2):
-            if allowed_pairs is not None and frozenset((g1.name, g2.name)) not in allowed_pairs:
-                continue
-            if not (reduced[g1.name] and reduced[g2.name]):
-                continue
-            oc = _oc_isomorphism(g1, g2, find_isomorphisms(g1, g2))
-            if oc is not None:
-                constraints.append(oc)
-
-    if selection.nash:
-        allowed = set(names if selection.nash_games is None else selection.nash_games)
-        for g in games:
-            if g.name in allowed and pure_nash_equilibria(g):
-                constraints.append(oc_nash(g))
-
-    for pair in selection.decreasing_risk:
-        if pair.g1 not in by_name or pair.g2 not in by_name:
-            raise InputError(f"decreasing-risk pair references unknown games "
-                             f"({pair.g1!r}, {pair.g2!r})")
-        constraints.append(oc_decreasing_risk(by_name[pair.g1], by_name[pair.g2], pair))
-
-    return Bcs(tuple(variables), tuple(constraints))
+    variables = tuple(Variable(g.name, g.outcome_labels()) for g in games)
+    constraints = tuple(oc for _, oc, _ in _derive_constraints(games, selection, _Searches()))
+    return Bcs(variables, constraints)

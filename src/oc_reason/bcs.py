@@ -299,39 +299,36 @@ def _revise(rel: _Store, x: int, t: int, y: int) -> bool:
 class PropagatedBcs:
     """The greatest fixed point of the inference rules over all variable pairs.
 
-    ``psi`` maps every ordered pair (including the diagonal) to its minimal
-    derived correspondence; ``psi[(y, x)]`` is always the inverse of
-    ``psi[(x, y)]``. ``shrank`` records whether propagation narrowed any
-    relation of the normalized input (the intersection of the given
-    constraints per pair); ``has_empty`` records whether some derived
-    correspondence is everywhere-empty (the refutation signal).
+    ``pair(x, y)`` is the minimal derived correspondence of an ordered pair
+    (the diagonal included), read from the directed store on each call;
+    ``pair(y, x)`` is always the inverse of ``pair(x, y)``. ``shrank``
+    records whether propagation narrowed any relation of the normalized
+    input (the intersection of the given constraints per pair); ``has_empty``
+    whether some derived correspondence is everywhere-empty (the refutation
+    signal).
     """
 
     bcs: Bcs
-    psi: Mapping[tuple[str, str], Correspondence]
+    _store: _Store = field(repr=False)
     shrank: bool
-    has_empty: bool
     sweeps: int | None = None
-    # the directed store that ``psi`` was read from, for incremental checks
-    _store: _Store = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def has_empty(self) -> bool:
+        # at a greatest fixed point one empty relation empties every
+        # relation, so the first diagonal relation answers for all
+        return bool(self._store) and not any(self._store[0][0])
 
     def pair(self, x: str, y: str) -> Correspondence:
-        key = (x, y)
-        if key not in self.psi:
+        variables = self.bcs.variables
+        names = [v.id for v in variables]
+        if x not in names or y not in names:
             raise InputError(f"no variable pair ({x!r}, {y!r})")
-        return self.psi[key]
+        i, j = names.index(x), names.index(y)
+        return Correspondence(x, y, variables[i].domain, variables[j].domain, self._store[i][j])
 
     def narrowed(self) -> bool:
         return self.shrank
-
-
-def _package(bcs: Bcs, rel: _Store, shrank: bool, sweeps: int | None) -> PropagatedBcs:
-    names = [v.id for v in bcs.variables]
-    doms = [v.domain for v in bcs.variables]
-    psi = {(names[i], names[j]): Correspondence(names[i], names[j], doms[i], doms[j], rows)
-           for i, row in enumerate(rel) for j, rows in enumerate(row)}
-    has_empty = any(c.is_everywhere_empty() for c in psi.values())
-    return PropagatedBcs(bcs, psi, shrank, has_empty, sweeps, rel)
 
 
 def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]]) -> bool:
@@ -380,7 +377,7 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     rel = _relation_store(bcs)
     n = len(rel)
     shrank = _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)))
-    return _package(bcs, rel, shrank, None)
+    return PropagatedBcs(bcs, rel, shrank)
 
 
 def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
@@ -400,7 +397,7 @@ def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
                     if _revise(rel, x, t, y):
                         progress = True
     # a sweep without progress ends the loop, so any narrowing takes two
-    return _package(bcs, rel, sweeps > 1, sweeps)
+    return PropagatedBcs(bcs, rel, sweeps > 1, sweeps)
 
 
 def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]:

@@ -5,9 +5,10 @@ the coordinatewise maximum of any two of its pairs. Join-closedness is the
 semilattice generalization via least-upper-bound operators. This module
 verifies both conditions (with violation witnesses), searches for certifying
 orders by brute force, and constructs certifying orders for
-assumption-generated structures. All three share one closure scanner; order
-construction searches each ordered game pair for isomorphisms and checks
-each game for dominated strategies at most once per call.
+assumption-generated structures. All three share one closure scanner. Order
+construction reruns `build_assumption_bcs`'s derivation,
+`assumptions._derive_constraints`, with one `assumptions._Searches` memo per
+call, to learn which assumption generated each constraint.
 """
 
 from __future__ import annotations
@@ -18,15 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import assumptions as asm
-from .bcs import Bcs, Correspondence
+from .bcs import Bcs, Correspondence, inverse
 from .errors import InputError
-from .games import (
-    Isomorphism,
-    NormalFormGame,
-    find_isomorphisms,
-    fully_reduce,
-    is_fully_reduced,
-)
+from .games import NormalFormGame, fully_reduce
 
 VariableOrders = Mapping[str, tuple[str, ...]]
 JoinFamily = Mapping[str, Mapping[tuple[str, str], str]]
@@ -174,6 +169,8 @@ def join_table_from_hasse(domain: Sequence[str],
 def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
     """Brute-force search for a certifying order family, pruned constraint by
     constraint; returns the lexicographically first certificate or None.
+    The search keeps an explicit stack, so its depth is not bounded by the
+    recursion limit.
 
     Exponential in domain sizes by design; intended for desk scale.
     """
@@ -191,21 +188,22 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
     def vmax(var, a, b):
         return a if ranks[var][a] >= ranks[var][b] else b
 
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
+    # stack[i] yields the untried orders of variable i in permutation order
+    stack = [itertools.permutations(v.domain) for v in bcs.variables[:1]]
+    while stack:
+        i = len(stack) - 1
         var = bcs.variables[i]
-        for perm in itertools.permutations(var.domain):
-            ranks[var.id] = {value: r for r, value in enumerate(perm)}
-            chosen[var.id] = perm
-            if _scan_closure(by_last[i], vmax).closed and assign(i + 1):
-                return True
-        del ranks[var.id], chosen[var.id]
-        return False
-
-    if assign(0):
-        return dict(chosen)
-    return None
+        perm = next(stack[i], None)
+        if perm is None:
+            stack.pop()
+            continue
+        ranks[var.id] = {value: r for r, value in enumerate(perm)}
+        chosen[var.id] = perm
+        if _scan_closure(by_last[i], vmax).closed:
+            if i + 1 == n:
+                return dict(chosen)
+            stack.append(itertools.permutations(bcs.variables[i + 1].domain))
+    return {} if n == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +211,8 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
 # ---------------------------------------------------------------------------
 
 
-class _Searches:
-    """Reduction flags and isomorphism lists of one game list, each derived
-    at most once during the `orders_for_assumptions` call that made it."""
-
-    def __init__(self, games: Sequence[NormalFormGame]):
-        self.reduced = {g.name: is_fully_reduced(g) for g in games}
-        self._isomorphisms: dict[tuple[str, str], list[Isomorphism]] = {}
-
-    def isomorphisms(self, g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphism]:
-        key = (g1.name, g2.name)
-        if key not in self._isomorphisms:
-            self._isomorphisms[key] = find_isomorphisms(g1, g2)
-        return self._isomorphisms[key]
-
-
 def _orbit_classes(game: NormalFormGame,
-                   searches: _Searches) -> dict[tuple[int, ...], tuple[int, ...]]:
+                   searches: asm._Searches) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Class key per profile: per-player orbit ids under the automorphism group."""
     autos = searches.isomorphisms(game, game)
     orbit_ids = []
@@ -252,7 +235,7 @@ def _orbit_classes(game: NormalFormGame,
             for p in game.profiles()}
 
 
-def _class_blocks(game: NormalFormGame, searches: _Searches) -> list[list[tuple[int, ...]]]:
+def _class_blocks(game: NormalFormGame, searches: asm._Searches) -> list[list[tuple[int, ...]]]:
     """Outcome equivalence classes, each sorted by label, classes sorted by
     their lexicographically smallest member label."""
     keys = _orbit_classes(game, searches)
@@ -267,12 +250,12 @@ def _class_blocks(game: NormalFormGame, searches: _Searches) -> list[list[tuple[
     return out
 
 
-def _own_class_order(game: NormalFormGame, searches: _Searches) -> tuple[str, ...]:
+def _own_class_order(game: NormalFormGame, searches: asm._Searches) -> tuple[str, ...]:
     return tuple(game.profile_label(p) for block in _class_blocks(game, searches) for p in block)
 
 
 def _transport_order(src: NormalFormGame, dst: NormalFormGame,
-                     src_order: Sequence[str], searches: _Searches) -> tuple[str, ...]:
+                     src_order: Sequence[str], searches: asm._Searches) -> tuple[str, ...]:
     """Carry a class-contiguous outcome order across an isomorphism: the class
     sequence is mapped through (any) isomorphism, members sorted by label."""
     isos = searches.isomorphisms(src, dst)
@@ -303,54 +286,28 @@ def _risk_order(g: NormalFormGame, top: tuple[str, str], safe: tuple[str, str]) 
     )
 
 
-def _classify_constraints(games: list[NormalFormGame], bcs: Bcs, searches: _Searches):
-    """Re-derive which assumption generated each constraint of the structure.
-
-    Returns (risk orders by game, isomorphism edges). Raises when some
-    constraint matches no assumption-generated candidate.
+def _classify_constraints(games: list[NormalFormGame], bcs: Bcs, searches: asm._Searches):
+    """Match each constraint of the structure to the first candidate that
+    every family (decreasing risk under every discovered labeling) generates
+    over the games, or to its inverse. Returns (risk orders by game,
+    isomorphism edges); raises when some constraint matches no candidate.
     """
     by_name = {g.name: g for g in games}
-    candidates: list[tuple[str, Correspondence, object]] = []
-
-    for g in games:
-        sub, oc = asm.oc_dominance(g)
-        if not sub.same_payoffs(g):
-            for other in games:
-                if other.name != g.name and other.same_payoffs(sub):
-                    candidates.append(("dominance", Correspondence(
-                        g.name, other.name, oc.source_domain, oc.target_domain, oc.rows), None))
-    for g1, g2 in itertools.combinations(games, 2):
-        if searches.reduced[g1.name] and searches.reduced[g2.name]:
-            oc = asm._oc_isomorphism(g1, g2, searches.isomorphisms(g1, g2))
-            if oc is not None:
-                candidates.append(("isomorphism", oc, (g1.name, g2.name)))
-    for g in games:
-        try:
-            candidates.append(("nash", asm.oc_nash(g), None))
-        except InputError:
-            pass
-    for g1, g2 in itertools.permutations(games, 2):
-        for labeling in asm.discover_risk_labelings(g1, g2):
-            candidates.append(("risk", asm.oc_decreasing_risk(g1, g2, labeling), labeling))
-    for g in games:
-        for labeling in asm.discover_risk_labelings(g, g):
-            candidates.append(("risk", asm.oc_decreasing_risk(g, g, labeling), labeling))
+    labelings = [lab for g1, g2 in itertools.permutations(games, 2)
+                 for lab in asm.discover_risk_labelings(g1, g2)]
+    labelings += [lab for g in games for lab in asm.discover_risk_labelings(g, g)]
+    everything = asm.AssumptionSelection(dominance=True, isomorphism=True, nash=True,
+                                         decreasing_risk=tuple(labelings))
+    generated: dict[tuple, tuple[str, object]] = {}
+    for kind, oc, payload in asm._derive_constraints(games, everything, searches):
+        for cand in (oc, inverse(oc)):
+            generated.setdefault((cand.source, cand.target, cand.rows), (kind, payload))
 
     risk_orders: dict[str, tuple[str, ...]] = {}
     iso_edges: list[tuple[str, str]] = []
 
-    from .bcs import inverse as rel_inverse
-
     for c in bcs.constraints:
-        matched = None
-        for kind, cand, payload in candidates:
-            if (c.source, c.target, c.rows) == (cand.source, cand.target, cand.rows):
-                matched = (kind, payload)
-                break
-            inv = rel_inverse(cand)
-            if (c.source, c.target, c.rows) == (inv.source, inv.target, inv.rows):
-                matched = (kind, payload)
-                break
+        matched = generated.get((c.source, c.target, c.rows))
         if matched is None:
             raise InputError(
                 f"constraint {c.source}->{c.target} was not generated by the assumption set")
@@ -391,11 +348,11 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
         if v.domain != by_name[v.id].outcome_labels():
             raise InputError(f"domain of {v.id!r} does not match the game's outcomes")
 
-    searches = _Searches(games)
+    searches = asm._Searches()
     risk_orders, iso_edges = _classify_constraints(games, bcs, searches)
 
     orders: dict[str, tuple[str, ...]] = dict(risk_orders)
-    reduced = [g for g in games if searches.reduced[g.name]]
+    reduced = [g for g in games if searches.reduced(g)]
 
     neighbors: dict[str, set[str]] = {g.name: set() for g in reduced}
     for a, b in iso_edges:

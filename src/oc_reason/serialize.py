@@ -14,13 +14,14 @@ Formats:
                  least-upper-bound computation.
   preference     {"kind": "pareto"} | {"kind": "player", "player": 1}
                  | {"kind": "explicit", "geq": [[["G1","C,C"],["G2","E,E"]], ...]}
-                 the player index is 1-based in JSON.
+                 the player index is a 1-based JSON integer.
   selection      {"dominance": true, "isomorphism": true, "nash": false,
                   "decreasing_risk": [{"g1": "GL", "g2": "GR",
                                        "a1": [["aH","aH"],["aH","aH"]],
                                        "a2": [["aL","aL"],["aL","aL"]]}],
                   "dominance_games": ["GL"], "isomorphism_pairs": [["GL","GR"]],
                   "nash_games": ["GR"]}
+                 the three flags are JSON booleans, false when absent;
                  "a1"/"a2" list the top/safe profiles of g1 then g2; the
                  three optional lists restrict their families to the named
                  games or game pairs.
@@ -231,7 +232,7 @@ def preference_from_json(obj: Mapping, bcs: Bcs,
         if kind == "pareto":
             return pareto_preference(ordered)
         player = obj.get("player")
-        if not isinstance(player, int) or player < 1:
+        if isinstance(player, bool) or not isinstance(player, int) or player < 1:
             raise InputError("player preferences need a 1-based 'player' index")
         return player_preference(ordered, player - 1)
     if kind == "explicit":
@@ -258,10 +259,12 @@ def selection_from_json(obj: Mapping) -> AssumptionSelection:
         return None if listed is None else tuple(read_entry(e, f"an entry of {key!r}")
                                                  for e in _list(listed, repr(key)))
 
+    flags = {key: obj.get(key, False) for key in ("dominance", "isomorphism", "nash")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise InputError(f"{key!r} must be true or false, got {value!r}")
     return AssumptionSelection(
-        dominance=bool(obj.get("dominance", False)),
-        isomorphism=bool(obj.get("isomorphism", False)),
-        nash=bool(obj.get("nash", False)),
+        **flags,
         decreasing_risk=tuple(risk),
         dominance_games=restriction("dominance_games", _label),
         isomorphism_pairs=restriction("isomorphism_pairs", _label_pair),

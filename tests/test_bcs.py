@@ -192,8 +192,8 @@ class TestPathConsistency:
         for b in seeded_structures(17, 90):
             fast = path_consistency(b)
             slow = path_consistency_sweeps(b)
-            assert fast.psi.keys() == slow.psi.keys()
-            assert all(fast.psi[k].rows == slow.psi[k].rows for k in fast.psi)
+            assert all(fast.pair(x.id, y.id) == slow.pair(x.id, y.id)
+                       for x in b.variables for y in b.variables)
             assert (fast.has_empty, fast.narrowed()) == (slow.has_empty, slow.narrowed())
 
     def test_early_exit_equals_sweeps(self):
@@ -213,11 +213,12 @@ class TestPathConsistency:
         for b in structures + [all_empty]:
             fast = path_consistency(b)
             slow = path_consistency_sweeps(b)
-            assert fast.psi.keys() == slow.psi.keys()
-            assert all(fast.psi[k].rows == slow.psi[k].rows for k in fast.psi)
+            assert all(fast.pair(x.id, y.id) == slow.pair(x.id, y.id)
+                       for x in b.variables for y in b.variables)
             assert (fast.has_empty, fast.narrowed()) == (slow.has_empty, slow.narrowed())
             if fast.has_empty:
-                assert all(c.is_everywhere_empty() for c in fast.psi.values())
+                assert all(fast.pair(x.id, y.id).is_everywhere_empty()
+                           for x in b.variables for y in b.variables)
                 given = [given_relation(b, x.id, y.id) for x in b.variables for y in b.variables]
                 derived_empty += not any(c.is_everywhere_empty() for c in given)
         assert sum(path_consistency(b).has_empty for b in structures) >= 60

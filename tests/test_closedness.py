@@ -1,6 +1,8 @@
 """Closedness verification, order search, and certifying-order construction."""
 
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -23,6 +25,10 @@ from oc_reason import (
     search_max_orders,
     validate_join_family,
 )
+from oc_reason import assumptions as asm
+from oc_reason import closedness
+from oc_reason.bcs import inverse
+from oc_reason.games import find_isomorphisms, is_fully_reduced
 from conftest import affine_copy, random_game, with_dominated_row
 
 DOM2 = ("x1", "x2")
@@ -80,6 +86,21 @@ class TestSearchOrders:
     def test_no_constraints_returns_listed_order(self):
         bcs = Bcs.create([("X", DOM2), ("Y", DOMY)])
         assert search_max_orders(bcs) == {"X": DOM2, "Y": DOMY}
+
+    def test_deeper_than_the_recursion_limit(self):
+        # a two-value equality chain: equal orders certify it
+        n = 400
+        names = [f"V{i}" for i in range(n)]
+        bcs = Bcs.create([(x, DOM2) for x in names], [
+            Correspondence.from_pairs(x, y, DOM2, DOM2, [("x1", "x1"), ("x2", "x2")])
+            for x, y in zip(names, names[1:])])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(n // 2)
+        try:
+            found = search_max_orders(bcs)
+        finally:
+            sys.setrecursionlimit(old)
+        assert found == {x: DOM2 for x in names}
 
     def test_found_orders_always_verify(self):
         rng = random.Random(40)
@@ -145,6 +166,79 @@ class TestHasseCompilation:
             join_table_from_hasse(("a", "b"), [("a", "b"), ("b", "a")])
 
 
+def random_game_set(rng, stag_pair):
+    """A random game, possibly with a rescaled copy, a variant with a
+    dominated row, an unrelated game and the stag-hunt pair; returns the
+    games and the decreasing-risk labelings that apply to them."""
+    left, right, labeling = stag_pair
+    games = [random_game(rng, "A")]
+    if rng.random() < 0.7:
+        games.append(affine_copy(rng, games[0], "B"))
+    if rng.random() < 0.7:
+        games.append(with_dominated_row(rng, games[0], "C"))
+    if rng.random() < 0.5:
+        games.append(random_game(rng, "D"))
+    risk = ()
+    if rng.random() < 0.5:
+        games += [left, right]
+        risk = (labeling,)
+    return games, risk
+
+
+def classify_reference(games, bcs):
+    """The candidate scan that `closedness._classify_constraints` replaced:
+    every candidate re-derived family by family, then each constraint
+    compared with each candidate and its inverse in turn, the first match
+    winning."""
+    by_name = {g.name: g for g in games}
+    reduced = {g.name: is_fully_reduced(g) for g in games}
+    candidates = []
+    for g in games:
+        sub, oc = asm.oc_dominance(g)
+        if not sub.same_payoffs(g):
+            for other in games:
+                if other.name != g.name and other.same_payoffs(sub):
+                    candidates.append(("dominance", Correspondence(
+                        g.name, other.name, oc.source_domain, oc.target_domain, oc.rows), None))
+    for g1, g2 in itertools.combinations(games, 2):
+        if reduced[g1.name] and reduced[g2.name]:
+            oc = asm._oc_isomorphism(g1, g2, find_isomorphisms(g1, g2))
+            if oc is not None:
+                candidates.append(("isomorphism", oc, (g1.name, g2.name)))
+    for g in games:
+        try:
+            candidates.append(("nash", asm.oc_nash(g), None))
+        except InputError:
+            pass
+    for g1, g2 in list(itertools.permutations(games, 2)) + [(g, g) for g in games]:
+        for labeling in asm.discover_risk_labelings(g1, g2):
+            candidates.append(("risk", asm.oc_decreasing_risk(g1, g2, labeling), labeling))
+
+    risk_orders, iso_edges = {}, []
+    for c in bcs.constraints:
+        matched = None
+        for kind, cand, payload in candidates:
+            if any((c.source, c.target, c.rows) == (r.source, r.target, r.rows)
+                   for r in (cand, inverse(cand))):
+                matched = (kind, payload)
+                break
+        if matched is None:
+            raise InputError(
+                f"constraint {c.source}->{c.target} was not generated by the assumption set")
+        kind, payload = matched
+        if kind == "isomorphism":
+            iso_edges.append(payload)
+        elif kind == "risk":
+            for name, top, safe in ((payload.g1, payload.g1_top, payload.g1_safe),
+                                    (payload.g2, payload.g2_top, payload.g2_safe)):
+                order = closedness._risk_order(by_name[name], top, safe)
+                if risk_orders.get(name, order) != order:
+                    raise InputError(
+                        f"conflicting decreasing-risk orders required for {name!r}")
+                risk_orders[name] = order
+    return risk_orders, iso_edges
+
+
 class TestOrdersForAssumptions:
     def test_stag_pair_exact_quoted_order(self, stag_pair):
         left, right, labeling = stag_pair
@@ -179,19 +273,8 @@ class TestOrdersForAssumptions:
 
     def test_random_game_sets(self, stag_pair):
         rng = random.Random(42)
-        left, right, labeling = stag_pair
         for _ in range(40):
-            games = [random_game(rng, "A")]
-            if rng.random() < 0.7:
-                games.append(affine_copy(rng, games[0], "B"))
-            if rng.random() < 0.7:
-                games.append(with_dominated_row(rng, games[0], "C"))
-            if rng.random() < 0.5:
-                games.append(random_game(rng, "D"))
-            risk = ()
-            if rng.random() < 0.5:
-                games += [left, right]
-                risk = (labeling,)
+            games, risk = random_game_set(rng, stag_pair)
             bcs = build_assumption_bcs(games, AssumptionSelection(
                 dominance=True, isomorphism=True, nash=True, decreasing_risk=risk))
             orders = orders_for_assumptions(games, bcs)
@@ -214,6 +297,46 @@ def _record_calls(monkeypatch, attr, modules):
     return calls
 
 
+class TestClassifyConstraints:
+    @staticmethod
+    def outcome(classify, games, bcs):
+        try:
+            return classify(games, bcs)
+        except InputError as exc:
+            return str(exc)
+
+    def test_equals_the_candidate_scan(self, stag_pair):
+        rng = random.Random(45)
+        outcomes = []
+        for _ in range(40):
+            games, risk = random_game_set(rng, stag_pair)
+            bcs = build_assumption_bcs(games, AssumptionSelection(
+                dominance=True, isomorphism=True, nash=True, decreasing_risk=risk))
+            x, y = rng.choice(bcs.variables), rng.choice(bcs.variables)
+            foreign = Correspondence.from_pairs(x.id, y.id, x.domain, y.domain, [
+                (a, b) for a in x.domain for b in y.domain if rng.random() < 0.5])
+            subsets = [Bcs(bcs.variables, tuple(
+                inverse(c) if rng.random() < 0.3 else c
+                for c in bcs.constraints if rng.random() < 0.6)) for _ in range(3)]
+            # every labeling that applies, self-pairs included
+            discovered = build_assumption_bcs(games, AssumptionSelection(
+                nash=True, decreasing_risk=tuple(
+                    lab for g1, g2 in itertools.product(games, repeat=2)
+                    for lab in asm.discover_risk_labelings(g1, g2))))
+            for b in [bcs, bcs.with_constraints([foreign]),
+                      Bcs(bcs.variables, tuple(inverse(c) for c in bcs.constraints)), *subsets,
+                      discovered]:
+                got = self.outcome(
+                    lambda gs, b: closedness._classify_constraints(gs, b, asm._Searches()),
+                    games, b)
+                assert got == self.outcome(classify_reference, games, b)
+                outcomes.append(got)
+        # both answers and rejections, risk orders and isomorphism edges
+        assert sum(isinstance(o, str) for o in outcomes) >= 20
+        assert sum(isinstance(o, tuple) and bool(o[0]) for o in outcomes) >= 20
+        assert sum(isinstance(o, tuple) and bool(o[1]) for o in outcomes) >= 20
+
+
 class TestSearchesOncePerCall:
     @pytest.fixture
     def game_set(self, trio, stag_pair, coordination):
@@ -227,11 +350,10 @@ class TestSearchesOncePerCall:
 
     def test_orders_for_assumptions(self, game_set, monkeypatch):
         import oc_reason.assumptions as asm
-        import oc_reason.closedness as closedness
         games, selection = game_set
         bcs = build_assumption_bcs(games, selection)
-        searches = _record_calls(monkeypatch, "find_isomorphisms", (asm, closedness))
-        reductions = _record_calls(monkeypatch, "is_fully_reduced", (asm, closedness))
+        searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
+        reductions = _record_calls(monkeypatch, "is_fully_reduced", (asm,))
         orders = orders_for_assumptions(games, bcs)
         assert is_max_closed(bcs, orders).closed
         assert ("Gb", "Gc") in searches and ("Gb", "Gb") in searches

@@ -189,6 +189,9 @@ PAIR_BCS = {"variables": [{"id": "X", "domain": ["a", "b"]}, {"id": "Y", "domain
 ONE_GAME = {"name": "G", "players": 2, "actions": [["a"], ["a"]], "utilities": {"a,a": [1, 1]}}
 COORDINATION = {"name": "G", "players": 2, "actions": [["h", "l"], ["h", "l"]],
                 "utilities": {"h,h": [2, 2], "h,l": [0, 1], "l,h": [1, 0], "l,l": [1, 1]}}
+COORDINATION_BCS = {
+    "variables": [{"id": x, "domain": ["h,h", "h,l", "l,h", "l,l"]} for x in ("X", "Y")],
+    "constraints": [], "games": {x: {**COORDINATION, "name": x} for x in ("X", "Y")}}
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -245,6 +248,18 @@ COORDINATION = {"name": "G", "players": 2, "actions": [["h", "l"], ["h", "l"]],
                       "a2": [["l", "l"], ["l", "l"]]}]}},
                  ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
                  id="selection-profile-of-one-action"),
+    pytest.param({"g.json": ONE_GAME, "sel.json": {"dominance": "false"}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-flag-a-string"),
+    pytest.param({"g.json": ONE_GAME, "sel.json": {"nash": "no"}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-flag-a-word"),
+    pytest.param({"g.json": ONE_GAME, "sel.json": {"isomorphism": 1}},
+                 ["assume", "g.json", "--selection", "sel.json", "--out", "out.json"],
+                 id="selection-flag-a-number"),
+    pytest.param({"bcs.json": COORDINATION_BCS, "pref.json": {"kind": "player", "player": True}},
+                 ["check-si", "bcs.json", "X", "Y", "--pref", "@pref.json"],
+                 id="player-preference-index-a-boolean"),
     pytest.param({}, ["gen", "random-csp", "--domain", "0", "--out", "out"],
                  id="random-csp-empty-domain"),
     pytest.param({}, ["gen", "random-csp", "--vars", "-3", "--out", "out"],
