@@ -167,10 +167,6 @@ def _risk_preconditions(g1: NormalFormGame, g2: NormalFormGame,
 
     # payoff inequalities: the top action only becomes more attractive, the
     # safe action only less, for both players against both labeled opponents
-    def u(g, p1, p2, player):
-        return g.payoff_of((p1, p2), player)
-
-    choices = {1: (t1, s1), 2: (t2, s2)}
     for i in (0, 1):
         for k, opp in ((1, "top"), (2, "safe")):
             o1 = (t1 if k == 1 else s1)[1 - i]

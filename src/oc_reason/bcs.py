@@ -18,12 +18,15 @@ loop transposes on read. Both propagation loops apply the same revision step
 (compose through a third variable, intersect, narrow) and record whether any
 narrowing happened, which is what ``PropagatedBcs.narrowed()`` reports.
 
-The worklist loop is seeded by its caller. ``path_consistency`` queues every
-variable pair of the normalized store; ``refuted`` narrows one relation of a
-copy of a fixed point's store and queues that pair alone, since every other
-relation is already consistent there. The worklist stops at the first
-relation it empties and empties the rest, which is the fixed point the full
-sweeps reach.
+A claim is added to a store in one way, by ``_with_complement``: a copy of
+the store whose claim pair is narrowed by the claim's complement. The oracle
+searches such copies of the normalized store (``implies``, and exact-mode
+safe-improvement queries, which build that store once for all their claims).
+``refuted`` propagates such a copy of a fixed point's store with the claim's
+pair alone queued, since every other relation is consistent there;
+``path_consistency`` queues every pair of the normalized store. The worklist
+stops at the first relation it empties and empties the rest, which is the
+fixed point the full sweeps reach.
 """
 
 from __future__ import annotations
@@ -412,7 +415,11 @@ def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]
     """
     if limit is not None and limit <= 0:
         return []
-    rel = _relation_store(bcs)
+    return _search(bcs, _relation_store(bcs), limit)
+
+
+def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
+    """The oracle's search over the store ``rel`` of ``bcs``'s variables."""
     n = len(rel)
     names = [v.id for v in bcs.variables]
     domains = [v.domain for v in bcs.variables]
@@ -448,19 +455,39 @@ def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]
 
 
 def _check_claim(bcs: Bcs, claim: Correspondence) -> None:
-    for end in (claim.source, claim.target):
-        bcs.var(end)
-    if claim.source_domain != bcs.domain(claim.source) or \
-            claim.target_domain != bcs.domain(claim.target):
+    if (bcs.domain(claim.source), bcs.domain(claim.target)) != \
+            (claim.source_domain, claim.target_domain):
         raise InputError("claim domains do not match the structure")
 
 
-def implies(bcs: Bcs, claim: Correspondence) -> bool:
-    """Exact decision of whether every satisfying assignment satisfies the
-    claim, via unsatisfiability of the structure plus the claim's complement."""
+def _with_complement(bcs: Bcs, rel: _Store, claim: Correspondence) -> _Store | None:
+    """A copy of ``rel`` with the claim's pair narrowed by its complement, or
+    None when that empties the pair's relation. From the normalized store,
+    this is the store of ``bcs.with_constraints([claim.complement()])``."""
     _check_claim(bcs, claim)
-    augmented = bcs.with_constraints([claim.complement()])
-    return not enumerate_satisfying(augmented, limit=1)
+    x, y = bcs.index(claim.source), bcs.index(claim.target)
+    narrowed = tuple(a & ~b for a, b in zip(rel[x][y], claim.rows))
+    if not any(narrowed):
+        return None
+    rel = [list(row) for row in rel]
+    _narrow(rel, x, y, narrowed)
+    return rel
+
+
+def _violations(bcs: Bcs, claims: Iterable[Correspondence]) -> Iterator[Assignment | None]:
+    """For each claim, the first assignment that :func:`enumerate_satisfying`
+    finds for the structure plus the claim's complement, or None when the
+    structure implies the claim; one normalized store serves every claim."""
+    rel = _relation_store(bcs)
+    for claim in claims:
+        narrowed = _with_complement(bcs, rel, claim)
+        found = [] if narrowed is None else _search(bcs, narrowed, 1)
+        yield found[0] if found else None
+
+
+def implies(bcs: Bcs, claim: Correspondence) -> bool:
+    """Whether every satisfying assignment satisfies the claim (exact)."""
+    return next(_violations(bcs, [claim])) is None
 
 
 def derivable(propagated: PropagatedBcs, claim: Correspondence) -> bool:
@@ -480,19 +507,13 @@ def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     a copy of the fixed point's store is narrowed by the complement and
     propagated with the claim's pair alone queued, since every other relation
     is already consistent (the incremental step of PC-2, Mackworth 1977). An
-    empty relation in the fixed point refutes every claim, and so does an
-    empty narrowed relation, without propagating.
+    empty narrowed relation refutes the claim without propagating; an empty
+    fixed point empties every narrowed relation.
     """
-    _check_claim(propagated.bcs, claim)
-    if propagated.has_empty:
+    rel = _with_complement(propagated.bcs, propagated._store, claim)
+    if rel is None:
         return True
     x, y = propagated.bcs.index(claim.source), propagated.bcs.index(claim.target)
-    store = propagated._store
-    narrowed = tuple(a & b for a, b in zip(store[x][y], claim.complement().rows))
-    if not any(narrowed):
-        return True
-    rel = [list(row) for row in store]
-    _narrow(rel, x, y, narrowed)
     _propagate(rel, [(min(x, y), max(x, y))])
     # the loop empties every relation as soon as it empties one
     return not any(rel[x][y])

@@ -12,13 +12,14 @@ writes the same report (plus timing) to a file.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import random
 import sys
 import time
 from pathlib import Path
 
 from . import reductions, serialize
+from .assumptions import AssumptionSelection, build_assumption_bcs, discover_risk_labelings
 from .bcs import enumerate_satisfying, path_consistency
 from .closedness import is_join_closed, is_max_closed, search_max_orders
 from .errors import InputError
@@ -188,7 +189,6 @@ def cmd_closedness(args, report) -> int:
 def cmd_assume(args, report) -> int:
     games = [serialize.load_game(p) for p in args.games]
     if args.discover_risk:
-        from .assumptions import discover_risk_labelings
         entries = []
         for g1 in games:
             for g2 in games:
@@ -206,10 +206,8 @@ def cmd_assume(args, report) -> int:
     if args.selection:
         selection = serialize.selection_from_json(serialize.read_json(args.selection))
     else:
-        from .assumptions import AssumptionSelection
         selection = AssumptionSelection(
             dominance=args.dominance, isomorphism=args.isomorphism, nash=args.nash)
-    from .assumptions import build_assumption_bcs
     bcs = build_assumption_bcs(games, selection)
     out_dir = Path(args.out).parent
     refs = {}
@@ -241,14 +239,8 @@ def cmd_gen(args, report) -> int:
     elif args.generator == "join-incompleteness":
         bcs, _ = reductions.join_incompleteness_instance()
         emit("join_incompleteness.json", serialize.bcs_to_json(bcs))
-        hasse = {
-            "X": [("x2", "x1")],
-            "Y": [("y2", "y1")],
-            "Z": [("z4", "z2"), ("z4", "z3"), ("z2", "z1"), ("z3", "z1")],
-            "W": [("w2", "w1"), ("w3", "w1"), ("w4", "w1"), ("w5", "w2"),
-                  ("w6", "w2"), ("w6", "w3"), ("w7", "w3"), ("w7", "w4"), ("w5", "w4")],
-        }
-        emit("join_incompleteness_semilattices.json", serialize.semilattices_to_json(hasse))
+        emit("join_incompleteness_semilattices.json",
+             serialize.semilattices_to_json(reductions.JOIN_INCOMPLETENESS_HASSE))
     elif args.generator == "csp-to-si":
         if not args.source:
             raise InputError("csp-to-si needs --source pointing at a BCS file")
@@ -280,7 +272,10 @@ def cmd_gen(args, report) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; every
+    call returns the same parser, which parsing does not change."""
     parser = argparse.ArgumentParser(
         prog="oc-reason",
         description="Reason about safe improvements between games via "
@@ -364,11 +359,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args, report)
-    except InputError as exc:
-        report["error"] = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_ERROR
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         report["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_ERROR

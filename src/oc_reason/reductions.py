@@ -13,11 +13,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .assumptions import AssumptionSelection, build_assumption_bcs
 from .bcs import Bcs, Correspondence, Variable
-from .closedness import JoinFamily, join_table_from_hasse
+from .closedness import join_table_from_hasse
 from .errors import InputError
 from .games import NormalFormGame
 
@@ -34,6 +33,16 @@ def montanari_instance() -> Bcs:
         for i, j in itertools.combinations(range(1, 5), 2)
     ]
     return Bcs(tuple(variables), tuple(constraints))
+
+
+# the Hasse edges of join_incompleteness_instance's semilattices, per variable
+JOIN_INCOMPLETENESS_HASSE = {
+    "X": [("x2", "x1")],
+    "Y": [("y2", "y1")],
+    "Z": [("z4", "z2"), ("z4", "z3"), ("z2", "z1"), ("z3", "z1")],
+    "W": [("w2", "w1"), ("w3", "w1"), ("w4", "w1"), ("w5", "w2"),
+          ("w6", "w2"), ("w6", "w3"), ("w7", "w3"), ("w7", "w4"), ("w5", "w4")],
+}
 
 
 def join_incompleteness_instance() -> tuple[Bcs, dict[str, dict[tuple[str, str], str]]]:
@@ -59,15 +68,8 @@ def join_incompleteness_instance() -> tuple[Bcs, dict[str, dict[tuple[str, str],
         rel("Z", "W", dz, dw, {"z4": ("w7", "w5", "w4"),
                                "z1": dw, "z2": dw, "z3": dw}),
     )
-    hasse = {
-        "X": (dx, [("x2", "x1")]),
-        "Y": (dy, [("y2", "y1")]),
-        "Z": (dz, [("z4", "z2"), ("z4", "z3"), ("z2", "z1"), ("z3", "z1")]),
-        "W": (dw, [("w2", "w1"), ("w3", "w1"), ("w4", "w1"),
-                   ("w5", "w2"), ("w6", "w2"), ("w6", "w3"),
-                   ("w7", "w3"), ("w7", "w4"), ("w5", "w4")]),
-    }
-    joins = {var: join_table_from_hasse(dom, edges) for var, (dom, edges) in hasse.items()}
+    joins = {v.id: join_table_from_hasse(v.domain, JOIN_INCOMPLETENESS_HASSE[v.id])
+             for v in variables}
     return Bcs(variables, constraints), joins
 
 
@@ -325,6 +327,21 @@ def _close_pairs_under_join(pairs: set[tuple[str, str]], jx, jy) -> set[tuple[st
     return pairs
 
 
+def _random_closed_bcs(rng: random.Random, variables: list[Variable],
+                       joins: dict, density: float) -> Bcs:
+    """Constrain each variable pair with probability `density` by a random
+    relation closed under the per-variable join tables `joins`."""
+    constraints = []
+    for a, b in itertools.combinations(variables, 2):
+        if rng.random() >= density:
+            continue
+        bit = rng.choice((0.2, 0.35, 0.6))
+        pairs = {(x, y) for x in a.domain for y in b.domain if rng.random() < bit}
+        pairs = _close_pairs_under_join(pairs, joins[a.id], joins[b.id])
+        constraints.append(Correspondence.from_pairs(a.id, b.id, a.domain, b.domain, pairs))
+    return Bcs(tuple(variables), tuple(constraints))
+
+
 def random_join_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
                            density: float = 0.8) -> tuple[Bcs, dict]:
     """A random structure whose constraints are all closed under a random
@@ -336,15 +353,7 @@ def random_join_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
         name = f"X{i + 1}"
         variables.append(Variable(name, dom))
         joins[name] = table
-    constraints = []
-    for a, b in itertools.combinations(variables, 2):
-        if rng.random() >= density:
-            continue
-        bit = rng.choice((0.2, 0.35, 0.6))
-        pairs = {(x, y) for x in a.domain for y in b.domain if rng.random() < bit}
-        pairs = _close_pairs_under_join(pairs, joins[a.id], joins[b.id])
-        constraints.append(Correspondence.from_pairs(a.id, b.id, a.domain, b.domain, pairs))
-    return Bcs(tuple(variables), tuple(constraints)), joins
+    return _random_closed_bcs(rng, variables, joins, density), joins
 
 
 def random_max_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
@@ -361,17 +370,6 @@ def random_max_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
         rng.shuffle(perm)
         orders[name] = tuple(perm)
     rank = {name: {v: i for i, v in enumerate(order)} for name, order in orders.items()}
-
-    def max_table(name):
-        r = rank[name]
-        return {(a, b): (a if r[a] >= r[b] else b) for a in r for b in r}
-
-    constraints = []
-    for a, b in itertools.combinations(variables, 2):
-        if rng.random() >= density:
-            continue
-        bit = rng.choice((0.2, 0.35, 0.6))
-        pairs = {(x, y) for x in a.domain for y in b.domain if rng.random() < bit}
-        pairs = _close_pairs_under_join(pairs, max_table(a.id), max_table(b.id))
-        constraints.append(Correspondence.from_pairs(a.id, b.id, a.domain, b.domain, pairs))
-    return Bcs(tuple(variables), tuple(constraints)), orders
+    maxima = {name: {(a, b): (a if r[a] >= r[b] else b) for a in r for b in r}
+              for name, r in rank.items()}
+    return _random_closed_bcs(rng, variables, maxima, density), orders

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from oc_reason import (
     random_bcs,
     refuted,
 )
+from oc_reason.bcs import _violations
 from conftest import brute_force_compose, coloring_bcs
 
 
@@ -387,3 +389,48 @@ class TestImpliesAndDerivable:
             for x, y in itertools.product(names, repeat=2):
                 for s in sols:
                     assert prop.pair(x, y).contains(s[x], s[y])
+
+
+def first_violation_reference(b, claim):
+    """The exact decision as it was made before one normalized store served
+    every claim: the oracle on a new structure holding the complement."""
+    found = enumerate_satisfying(b.with_constraints([claim.complement()]), limit=1)
+    return found[0] if found else None
+
+
+class TestViolations:
+    def test_equals_the_oracle_on_the_augmented_structure(self):
+        rng = random.Random(29)
+        structures = list(seeded_structures(29, 120, max_vars=7))
+        structures += [montanari_instance(), join_incompleteness_instance()[0]]
+        seen = Counter()
+        for b in structures:
+            claims = []
+            for _ in range(6):
+                x, y = rng.choice(b.variables), rng.choice(b.variables)
+                p = rng.choice((0.3, 0.7, 1.0))
+                claims.append(random_relation(rng, x.id, y.id, x.domain, y.domain, p=p))
+            got = list(_violations(b, claims))
+            assert len(got) == len(claims)
+            for claim, found in zip(claims, got):
+                expected = first_violation_reference(b, claim)
+                assert (found and list(found.values.items())) == \
+                    (expected and list(expected.values.items()))
+                assert implies(b, claim) == (expected is None)
+                given = given_relation(b, claim.source, claim.target)
+                seen["self-pair"] += claim.source == claim.target
+                seen["emptied at once"] += given.subset_of(claim)
+                seen["violated"] += expected is not None
+            seen["unsatisfiable"] += not enumerate_satisfying(b, limit=1)
+        assert seen["self-pair"] >= 50 and seen["emptied at once"] >= 100
+        assert seen["unsatisfiable"] >= 10
+        assert 100 <= seen["violated"] <= 6 * len(structures) - 100
+
+    def test_claims_are_checked(self):
+        b = montanari_instance()
+        foreign = Correspondence.full("X1", "Q", b.domain("X1"), ("1",))
+        with pytest.raises(InputError, match="unknown variable"):
+            list(_violations(b, [foreign]))
+        short = Correspondence.full("X1", "X2", ("1", "2"), b.domain("X2"))
+        with pytest.raises(InputError, match="claim domains"):
+            implies(b, short)

@@ -365,6 +365,41 @@ class TestFindSi:
                 query()
                 assert len(calls) == expected, mode
 
+    def test_one_store_per_exact_call(self, monkeypatch):
+        # exact find_* narrow copies of one normalized store, not one
+        # augmented structure per pair
+        import oc_reason.bcs as bcs_module
+        calls = []
+        store = bcs_module._relation_store
+
+        def counted(bcs):
+            calls.append(bcs)
+            return store(bcs)
+
+        monkeypatch.setattr(bcs_module, "_relation_store", counted)
+        bcs, _ = random_max_closed_bcs(random.Random(35), 5, 3)
+        pref = Preference.from_relation({v.id: v.domain for v in bcs.variables},
+                                        lambda a, b: a[1] >= b[1])
+        for strict in (False, True):
+            for query in (lambda: find_any_si(bcs, pref, strict, DecisionMode.EXACT),
+                          lambda: find_si_on(bcs, "X1", pref, strict, DecisionMode.EXACT),
+                          lambda: decide_si(bcs, "X1", "X2", pref, strict, DecisionMode.EXACT)):
+                calls.clear()
+                query()
+                assert calls == [bcs]
+
+    @pytest.mark.parametrize("mode", ["exact", None])
+    def test_unknown_mode_raises(self, trio, pd, mode):
+        bcs = trio_bcs(trio)
+        pref = pareto_preference(list(trio))
+        single = build_assumption_bcs([pd], AssumptionSelection(nash=True))
+        for query in (lambda: decide_si(bcs, "Ga", "Gc", pref, mode=mode),
+                      lambda: find_any_si(bcs, pref, mode=mode),
+                      lambda: find_si_on(bcs, "Ga", pref, mode=mode),
+                      lambda: find_si_on(single, "PD", pareto_preference([pd]), mode=mode)):
+            with pytest.raises(InputError, match="unknown decision mode"):
+                query()
+
     def test_incomparable_outcomes_no_pairs(self, table2_games):
         base, improver = table2_games
         # no constraints: every outcome combination occurs, and the base
