@@ -26,7 +26,9 @@ safe-improvement queries, which build that store once for all their claims).
 pair alone queued, since every other relation is consistent there;
 ``path_consistency`` queues every pair of the normalized store. The worklist
 stops at the first relation it empties and empties the rest, which is the
-fixed point the full sweeps reach.
+fixed point the full sweeps reach. ``_descend`` is the search without its
+backtracking: one polynomial pass that may find an assignment inside a
+store, which refutation-mode ``find_*`` keep as witnesses.
 """
 
 from __future__ import annotations
@@ -421,19 +423,16 @@ def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]
 def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
     """The oracle's search over the store ``rel`` of ``bcs``'s variables."""
     n = len(rel)
-    names = [v.id for v in bcs.variables]
-    domains = [v.domain for v in bcs.variables]
     found: list[Assignment] = []
     chosen = [0] * n
     # stack[d][j] (j >= d): the values of variable j consistent with the
     # values chosen for variables before d; stack[d][d] shrinks as tried
-    stack = [[sum(1 << x for x, row in enumerate(rel[i][i]) if row >> x & 1)
-              for i in range(n)]]
+    stack = [_domain_masks(rel)]
     while stack:
         depth = len(stack) - 1
         masks = stack[depth]
         if depth == n:
-            found.append(Assignment({names[i]: domains[i][chosen[i]] for i in range(n)}))
+            found.append(_assignment(bcs, chosen))
             if limit is not None and len(found) >= limit:
                 break
             stack.pop()
@@ -452,6 +451,39 @@ def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
         else:
             stack.append(nxt)
     return found
+
+
+def _descend(bcs: Bcs, rel: _Store) -> Assignment | None:
+    """One greedy descent through ``rel`` without backtracking, in at most
+    n^2 times the largest domain mask operations: each variable, in listed
+    order, takes its first value that leaves every later one a value
+    consistent with the choices so far; None when some variable has none."""
+    n = len(rel)
+    masks = _domain_masks(rel)
+    chosen = []
+    for depth in range(n):
+        candidates = masks[depth]
+        while candidates:
+            x = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            later = [masks[j] & rel[depth][j][x] for j in range(depth + 1, n)]
+            if all(later):
+                break
+        else:
+            return None
+        chosen.append(x)
+        masks[depth + 1:] = later
+    return _assignment(bcs, chosen)
+
+
+def _domain_masks(rel: _Store) -> list[int]:
+    """Each variable's values that its diagonal relation keeps, as a mask."""
+    return [sum(1 << x for x, row in enumerate(rel[i][i]) if row >> x & 1)
+            for i in range(len(rel))]
+
+
+def _assignment(bcs: Bcs, chosen: Sequence[int]) -> Assignment:
+    return Assignment({v.id: v.domain[x] for v, x in zip(bcs.variables, chosen)})
 
 
 def _check_claim(bcs: Bcs, claim: Correspondence) -> None:
@@ -501,19 +533,21 @@ def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     """Whether adding the claim's complement to the structure derives an
     everywhere-empty relation: the answer of
     ``path_consistency(bcs.with_constraints([claim.complement()])).has_empty``,
-    computed from the structure's fixed point instead of from scratch.
-
-    The greatest fixed point is monotone, so gfp(B and C) = gfp(gfp(B) and C):
-    a copy of the fixed point's store is narrowed by the complement and
-    propagated with the claim's pair alone queued, since every other relation
-    is already consistent (the incremental step of PC-2, Mackworth 1977). An
-    empty narrowed relation refutes the claim without propagating; an empty
-    fixed point empties every narrowed relation.
+    computed from the structure's fixed point by :func:`_refute` instead of
+    from scratch. An empty narrowed relation refutes the claim without
+    propagating; an empty fixed point empties every narrowed relation.
     """
     rel = _with_complement(propagated.bcs, propagated._store, claim)
-    if rel is None:
-        return True
-    x, y = propagated.bcs.index(claim.source), propagated.bcs.index(claim.target)
+    return rel is None or _refute(propagated.bcs, rel, claim)
+
+
+def _refute(bcs: Bcs, rel: _Store, claim: Correspondence) -> bool:
+    """Propagate ``rel``, a fixed point's store narrowed at the claim's pair
+    by :func:`_with_complement`, in place; True when that empties it. The
+    greatest fixed point is monotone, so gfp(B and C) = gfp(gfp(B) and C),
+    and only the claim's pair is queued: every other relation is consistent
+    already (the incremental step of PC-2, Mackworth 1977)."""
+    x, y = bcs.index(claim.source), bcs.index(claim.target)
     _propagate(rel, [(min(x, y), max(x, y))])
     # the loop empties every relation as soon as it empties one
     return not any(rel[x][y])

@@ -10,13 +10,18 @@ appears; complete on join-closed structures).
 
 The normalized relation store and the path-consistency fixed point depend on
 the structure only, not on the queried pair, so a ``find_*`` call builds the
-one its mode reads once. Exact mode searches, per pair, a copy of the store
-narrowed by the pair's non-improvement correspondence. Propagation answers
-each pair with a subset check on the fixed point. Refutation restarts from a
-copy of the fixed point narrowed the same way, with that pair alone queued:
-the greatest fixed point is monotone, so gfp(B and C) = gfp(gfp(B) and C) (the
-incremental argument of PC-2). A single :func:`decide_si` refutation
-propagates the augmented structure directly instead, once, not twice.
+one its mode reads once. Propagation answers each pair with a subset check on
+the fixed point. Exact and refutation ``find_*`` keep every satisfying
+assignment they find: one that violates a later pair's claim answers no for
+it in both modes, as sound propagation cannot refute a satisfiable claim
+(claim-level witness sharing, Gottlob 2012). Otherwise exact mode searches a
+copy of the store narrowed by the pair's non-improvement correspondence.
+Refutation answers a derivable claim yes, and else descends greedily, without
+backtracking, through a copy of the fixed point narrowed the same way; only
+when that fails does it propagate the copy with that pair alone queued (the
+incremental step of PC-2) and descend once more. :func:`decide_si` answers
+one pair as before, without witnesses; its refutation propagates the
+augmented structure directly, once, not twice.
 
 A claim on x and y compares only the outcomes of x and y, so a preference is
 tabulated per ordered variable pair on first read (:class:`Preference`), not
@@ -36,12 +41,14 @@ from .bcs import (
     Assignment,
     Bcs,
     Correspondence,
+    _descend,
+    _refute,
     _violations,
+    _with_complement,
     derivable,
     intersect,
     inverse,
     path_consistency,
-    refuted,
 )
 from .closedness import is_join_closed, is_max_closed
 from .errors import InputError
@@ -269,8 +276,8 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     :func:`verify_certificate`.
 
     Refutation propagates the augmented structure once, from scratch. The
-    ``find_*`` route (fixed point, then :func:`~oc_reason.bcs.refuted`) would
-    propagate twice: on perfbench's 27 csp-encoded instances (seed 7, one
+    fixed point followed by :func:`~oc_reason.bcs.refuted` would propagate
+    twice: on perfbench's 27 csp-encoded instances (seed 7, one
     Xeon core, Python 3.11) one decision took 32 ms this way, 85 ms that way.
     """
     claim = _claim(bcs, x, y, pref, strict)
@@ -287,16 +294,42 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
 
 def _improving(bcs: Bcs, pairs, pref: Preference, strict: bool,
                mode: DecisionMode) -> list[tuple[str, str]]:
-    """The pairs (x, y) whose y safely improves on x, in the given order."""
-    pairs = list(pairs)
-    claims = (_claim(bcs, x, y, pref, strict) for x, y in pairs)
+    """The pairs (x, y) whose y safely improves on x, in the given order;
+    exact and refutation mode check each pair against the witnesses found
+    for earlier pairs before they search or propagate."""
+    found, witnesses = [], []
     if mode is DecisionMode.EXACT:
-        verdicts = (witness is None for witness in _violations(bcs, claims))
+        # _violations reads its claims lazily, so a claim queued just before
+        # next(searches) is the one searched
+        queued: list[Correspondence] = []
+        searches = _violations(bcs, iter(queued.pop, None))
     else:
         fixed_point = path_consistency(bcs)
-        test = derivable if mode is DecisionMode.PROPAGATION else refuted
-        verdicts = (test(fixed_point, claim) for claim in claims)
-    return [pair for pair, yes in zip(pairs, verdicts) if yes]
+    for x, y in pairs:
+        claim = _claim(bcs, x, y, pref, strict)
+        if mode is DecisionMode.REFUTATION:
+            rel = _with_complement(bcs, fixed_point._store, claim)
+        witness = None
+        if mode is DecisionMode.PROPAGATION:
+            yes = derivable(fixed_point, claim)
+        elif mode is DecisionMode.REFUTATION and rel is None:
+            yes = True
+        elif any(not claim.contains(w[claim.source], w[claim.target]) for w in witnesses):
+            yes = False
+        elif mode is DecisionMode.EXACT:
+            queued.append(claim)
+            witness = next(searches)
+            yes = witness is None
+        else:
+            witness = _descend(bcs, rel)
+            yes = witness is None and _refute(bcs, rel, claim)
+            if witness is None and not yes:
+                witness = _descend(bcs, rel)
+        if witness is not None:
+            witnesses.append(witness)
+        if yes:
+            found.append((x, y))
+    return found
 
 
 def find_si_on(bcs: Bcs, x: str, pref: Preference, strict: bool = False,
@@ -305,8 +338,9 @@ def find_si_on(bcs: Bcs, x: str, pref: Preference, strict: bool = False,
     """All variables that (strictly) safely improve on x, in variable order.
 
     A supplied certificate is verified once, not per variable, and the store
-    or fixed point that the mode reads is built once per call. The verdicts
-    equal :func:`decide_si`'s for each pair.
+    or fixed point that the mode reads is built once per call, and exact and
+    refutation mode share their witnesses across the pairs (see the module
+    docstring). The verdicts equal :func:`decide_si`'s for each pair.
     """
     bcs.var(x)
     verify_certificate(bcs, mode, orders, joins)
@@ -320,7 +354,8 @@ def find_any_si(bcs: Bcs, pref: Preference, strict: bool = False,
     """All ordered pairs (x, y), x != y, where y safely improves on x.
 
     A supplied certificate is verified once, not per pair, and one store or
-    fixed point serves all pairs, as in :func:`find_si_on`.
+    fixed point, and one list of witnesses, serves all pairs, as in
+    :func:`find_si_on`.
     """
     verify_certificate(bcs, mode, orders, joins)
     pairs = itertools.permutations([v.id for v in bcs.variables], 2)

@@ -91,3 +91,23 @@ def coloring_bcs(rng, n, density):
                       [Correspondence.from_pairs(x, y, dom, dom, differ)
                        for i, x in enumerate(names) for y in names[i + 1:]
                        if rng.random() < density])
+
+
+def planted_bcs(rng, n, density=0.5, pair_bit=0.5, planted=3):
+    """A structure with `planted` solutions and domains of 2 to 5 values:
+    each variable pair gets a constraint with probability `density`, holding
+    the planted solutions' value pairs plus each other value pair with
+    probability `pair_bit`. Such structures are closed under no particular
+    order, and their many solutions make witnesses plentiful."""
+    names = [f"X{i + 1}" for i in range(n)]
+    domains = [tuple(f"v{j + 1}" for j in range(rng.randint(2, 5))) for _ in names]
+    solutions = [[rng.choice(dom) for dom in domains] for _ in range(planted)]
+    constraints = []
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() >= density:
+            continue
+        pairs = {(s[i], s[j]) for s in solutions}
+        pairs |= {(a, b) for a in domains[i] for b in domains[j] if rng.random() < pair_bit}
+        constraints.append(Correspondence.from_pairs(names[i], names[j], domains[i],
+                                                     domains[j], sorted(pairs)))
+    return Bcs.create(list(zip(names, domains)), constraints)

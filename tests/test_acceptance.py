@@ -8,7 +8,6 @@ import time
 
 from oc_reason import (
     AssumptionSelection,
-    Bcs,
     Correspondence,
     DecisionMode,
     NormalFormGame,
@@ -28,7 +27,6 @@ from oc_reason import (
     is_join_closed,
     is_max_closed,
     join_incompleteness_instance,
-    joins_from_orders,
     montanari_instance,
     orders_for_assumptions,
     pareto_preference,
@@ -172,7 +170,7 @@ def test_c07_assumption_structures_certifiably_max_closed():
     labeling2 = DecreasingRiskPair("HL", "HR", ("aH", "aH"), ("aL", "aL"),
                                    ("aH", "aH"), ("aL", "aL"))
     failures = 0
-    for trial in range(200):
+    for _ in range(200):
         games = [random_game(rng, "A")]
         if rng.random() < 0.7:
             games.append(affine_copy(rng, games[0], "B"))
@@ -272,7 +270,7 @@ def test_c09_propagation_complexity_smoke():
     times = []
     for n in sizes:
         best = math.inf
-        for rep in range(5):
+        for _ in range(5):
             instances = [random_bcs(random.Random(1000 + n * 10 + i), n, 4, density=0.6)
                          for i in range(4)]
             start = time.perf_counter()

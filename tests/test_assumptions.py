@@ -22,7 +22,6 @@ from oc_reason import (
     oc_nash,
     orders_for_assumptions,
 )
-from oc_reason.fixtures import symmetric_coordination
 from conftest import affine_copy, random_game
 
 
@@ -161,7 +160,6 @@ class TestDecreasingRiskOc:
 
     def test_triangular_under_labeled_order(self, stag_pair):
         left, right, labeling = stag_pair
-        oc = oc_decreasing_risk(left, right, labeling)
         bcs = build_assumption_bcs([left, right],
                                    AssumptionSelection(decreasing_risk=(labeling,)))
         orders = {

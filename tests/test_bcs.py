@@ -12,7 +12,6 @@ from oc_reason import (
     Bcs,
     Correspondence,
     InputError,
-    Variable,
     compose,
     derivable,
     enumerate_satisfying,
@@ -27,7 +26,7 @@ from oc_reason import (
     random_bcs,
     refuted,
 )
-from oc_reason.bcs import _violations
+from oc_reason.bcs import _descend, _relation_store, _violations
 from conftest import brute_force_compose, coloring_bcs
 
 
@@ -336,6 +335,34 @@ class TestOracle:
             b = random_bcs(rng, rng.randint(1, 4), 4)
             for s in enumerate_satisfying(b):
                 assert s.satisfies(b)
+
+
+class TestDescent:
+    def test_forward_checks_and_never_backtracks(self):
+        dom = ("a", "b")
+        # X1 = a leaves X2 no value, so the descent takes X1 = b
+        pair = Bcs.create([("X1", dom), ("X2", dom)],
+                          [rel("X1", "X2", dom, dom, [("b", "a")])])
+        assert _descend(pair, _relation_store(pair)).values == {"X1": "b", "X2": "a"}
+        # X1 = a leaves X2 only a, which X3 cannot follow: the descent is stuck
+        # there in the normalized store, not in the path-consistent one
+        chain = Bcs.create([("X1", dom), ("X2", dom), ("X3", dom)],
+                           [rel("X1", "X2", dom, dom, [("a", "a"), ("b", "b")]),
+                            rel("X2", "X3", dom, dom, [("b", "a")])])
+        assert _descend(chain, _relation_store(chain)) is None
+        assert _descend(chain, path_consistency(chain)._store).values == \
+            {"X1": "b", "X2": "b", "X3": "a"}
+
+    def test_a_completed_descent_is_a_solution(self):
+        outcomes = Counter()
+        for b in seeded_structures(31, 150):
+            satisfiable = bool(enumerate_satisfying(b, limit=1))
+            for store in (_relation_store(b), path_consistency(b)._store):
+                found = _descend(b, store)
+                assert found is None or found.satisfies(b)
+                outcomes[satisfiable, found is not None] += 1
+        assert outcomes[False, True] == 0
+        assert outcomes[True, True] >= 100 and outcomes[False, False] >= 100
 
 
 class TestImpliesAndDerivable:

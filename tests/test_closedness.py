@@ -264,7 +264,7 @@ class TestOrdersForAssumptions:
             orders_for_assumptions(list(trio), bcs.with_constraints([foreign]))
 
     def test_duplicate_game_names_rejected(self, trio):
-        ga, gb, gc = trio
+        _, gb, gc = trio
         bcs = build_assumption_bcs([gb, gc], AssumptionSelection(isomorphism=True))
         # another game under Gc's name: searches are looked up by game name
         twin = NormalFormGame("Gc", gb.actions, gb.utilities)

@@ -15,7 +15,6 @@ from oc_reason import (
     dominated_actions,
     find_isomorphisms,
     fully_reduce,
-    one_round_reduction,
     pareto_compare,
     pure_nash_equilibria,
     strictly_dominates,
@@ -185,7 +184,7 @@ class TestIsomorphisms:
 
     def test_symmetry(self):
         rng = random.Random(2)
-        for t in range(30):
+        for _ in range(30):
             g = random_game(rng, "g")
             h = affine_copy(rng, g, "h")
             forward = find_isomorphisms(g, h)
@@ -198,7 +197,7 @@ class TestIsomorphisms:
 
     def test_composition_closure(self):
         rng = random.Random(3)
-        for t in range(20):
+        for _ in range(20):
             g1 = random_game(rng, "g1")
             g2 = affine_copy(rng, g1, "g2")
             g3 = affine_copy(rng, g2, "g3")

@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports and no never-read locals in the package.
+"""Source hygiene: no unused imports and no never-read locals in the package
+and in its tests.
 
 The scan is a plain AST walk, so it needs no linter. A name counts as read
 when it is loaded anywhere in its module (imports) or anywhere in its
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oc_reason"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oc_reason"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 

@@ -7,7 +7,6 @@ import pytest
 from oc_reason import (
     AssumptionSelection,
     Correspondence,
-    DecisionMode,
     InputError,
     augment_always_satisfiable,
     build_assumption_bcs,

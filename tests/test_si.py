@@ -14,7 +14,6 @@ from oc_reason import (
     build_assumption_bcs,
     csp_to_si_games,
     decide_si,
-    enumerate_satisfying,
     find_any_si,
     find_si_on,
     improvement_oc,
@@ -32,7 +31,7 @@ from oc_reason import (
 )
 from oc_reason.cli import main
 from oc_reason.fixtures import single_outcome_game
-from conftest import coloring_bcs, random_game
+from conftest import coloring_bcs, planted_bcs, random_game
 
 
 @pytest.fixture
@@ -468,6 +467,100 @@ def test_refuted_agrees_with_propagating_the_augmented_structure():
             narrowed = intersect(fixed_point.pair(x, y), claim.complement())
             propagated += augmented.has_empty and not narrowed.is_everywhere_empty()
     assert propagated >= 10
+
+
+def test_find_si_equals_decisions_on_planted_structures():
+    # larger structures, not closed under any order, where most pairs are
+    # answered by a kept witness: exact find_* equal decide_si on every pair;
+    # propagation and refutation on a sample of yes and no pairs, since each
+    # of their decisions propagates the whole structure from scratch
+    rng = random.Random(62)
+    decided = {True: 0, False: 0}
+    for n in (12, 16):
+        bcs = planted_bcs(rng, n)
+        pref = _random_pref(rng, bcs)
+        names = [v.id for v in bcs.variables]
+        pairs = [(x, y) for x in names for y in names if x != y]
+        for mode in DecisionMode:
+            for strict in (False, True):
+                found = find_any_si(bcs, pref, strict, mode)
+                sample = pairs if mode is DecisionMode.EXACT else \
+                    rng.sample(found, min(2, len(found))) + \
+                    rng.sample([p for p in pairs if p not in found], 2)
+                for x, y in sample:
+                    yes = decide_si(bcs, x, y, pref, strict, mode).yes
+                    assert yes == ((x, y) in found), (n, mode, strict, x, y)
+                    decided[yes] += 1
+                x = rng.choice(names)
+                assert find_si_on(bcs, x, pref, strict, mode) == \
+                    [b for a, b in found if a == x]
+    assert min(decided.values()) >= 60
+
+
+def test_witnesses_spare_searches_and_propagations(monkeypatch):
+    # replay each find_* call: every kept witness (a search's find, a
+    # completed descent) satisfies the structure and violates the claim it
+    # was found for; a pair that an earlier witness answers costs no search,
+    # descent or propagation, and any other pair at most one search or one
+    # propagation
+    import oc_reason.bcs as bcs_module
+    import oc_reason.si as si
+    log = []
+
+    def logged(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            log.append((name, out))
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    logged(si, "_claim")
+    logged(bcs_module, "_search")
+    logged(si, "_descend")
+    logged(si, "_refute")
+    counts = {"answered": 0, "searched": 0, "propagated": 0, "descended": 0}
+    rng = random.Random(63)
+    structures = [planted_bcs(rng, n) for n in (12, 14)]
+    structures += [random_max_closed_bcs(rng, 9, 5)[0] for _ in range(2)]
+    for bcs in structures:
+        pref = _random_pref(rng, bcs)
+        for mode in (DecisionMode.EXACT, DecisionMode.REFUTATION):
+            for strict in (False, True):
+                for query in (lambda: find_any_si(bcs, pref, strict, mode),
+                              lambda: find_si_on(bcs, "X1", pref, strict, mode)):
+                    log.clear()
+                    query()
+                    _replay(bcs, log, counts)
+    assert counts["answered"] >= 500 and counts["searched"] >= 20
+    assert counts["descended"] >= 20 and counts["propagated"] >= 5
+
+
+def _replay(bcs, log, counts):
+    witnesses = []
+    starts = [i for i, (name, _) in enumerate(log) if name == "_claim"] + [len(log)]
+    for start, end in zip(starts, starts[1:]):
+        claim = log[start][1]
+        work = log[start + 1:end]
+        if any(not claim.contains(w[claim.source], w[claim.target]) for w in witnesses):
+            assert work == []
+            counts["answered"] += 1
+            continue
+        names = [name for name, _ in work]
+        assert names.count("_search") <= 1 and names.count("_refute") <= 1
+        # a propagation that does not refute is followed by a descent
+        assert ("_refute", False) not in work or names[-1] == "_descend"
+        counts["searched"] += names.count("_search")
+        counts["propagated"] += names.count("_refute")
+        for name, out in work:
+            witness = out[0] if name == "_search" and out else \
+                out if name == "_descend" else None
+            if witness is not None:
+                assert witness.satisfies(bcs)
+                assert not claim.contains(witness[claim.source], witness[claim.target])
+                witnesses.append(witness)
+                counts["descended"] += name == "_descend"
 
 
 class TestModeAgreement:
