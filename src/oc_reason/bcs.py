@@ -18,24 +18,27 @@ loop transposes on read. Both propagation loops apply the same revision step
 (compose through a third variable, intersect, narrow) and record whether any
 narrowing happened, which is what ``PropagatedBcs.narrowed()`` reports.
 
-A claim is added to a store in one way, by ``_with_complement``: a copy of
-the store whose claim pair is narrowed by the claim's complement. The oracle
-searches such copies of the normalized store (``implies``, and exact-mode
-safe-improvement queries, which build that store once for all their claims).
-``refuted`` propagates such a copy of a fixed point's store with the claim's
-pair alone queued, since every other relation is consistent there;
-``path_consistency`` queues every pair of the normalized store. The worklist
-stops at the first relation it empties and empties the rest, which is the
-fixed point the full sweeps reach. ``_descend`` is the search without its
-backtracking: one polynomial pass that may find an assignment inside a
-store, which refutation-mode ``find_*`` keep as witnesses.
+Every claim is decided by one rule, ``_decide``, which asks whether the
+structure plus the claim's complement has a solution. A satisfying
+assignment already known to violate the claim answers no. Otherwise the rule
+narrows the claim's pair by the complement, and an empty result answers yes
+in every mode. Propagation answers no there (``derivable``). Exact mode
+searches a narrowed copy of the normalized store with the oracle
+(``implies``). Refutation descends through a narrowed copy of the fixed
+point's store; ``_descend`` is the search without its backtracking, one
+polynomial pass that may find a solution. Only when it gets stuck does
+refutation propagate the copy with the claim's pair alone queued, and then
+descend once more (``refuted``). ``path_consistency`` queues every pair of
+the normalized store. The worklist stops at the first relation it empties
+and empties the rest, which is the fixed point the full sweeps reach.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from enum import Enum
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
@@ -201,15 +204,15 @@ class Bcs:
     constraints: tuple[Correspondence, ...]
 
     def __post_init__(self):
-        ids = [v.id for v in self.variables]
-        if len(set(ids)) != len(ids):
+        position = {v.id: i for i, v in enumerate(self.variables)}
+        if len(position) != len(self.variables):
             raise InputError("duplicate variable ids")
-        by_id = {v.id: v for v in self.variables}
+        object.__setattr__(self, "_position", position)
         for c in self.constraints:
-            if c.source not in by_id or c.target not in by_id:
+            if c.source not in position or c.target not in position:
                 raise InputError(f"constraint {c.source}->{c.target} references unknown variables")
-            if c.source_domain != by_id[c.source].domain or \
-                    c.target_domain != by_id[c.target].domain:
+            if c.source_domain != self.domain(c.source) or \
+                    c.target_domain != self.domain(c.target):
                 raise InputError(
                     f"constraint {c.source}->{c.target} domains do not match the variables")
 
@@ -219,16 +222,13 @@ class Bcs:
         return cls(tuple(Variable(i, tuple(d)) for i, d in variables), tuple(constraints))
 
     def var(self, var_id: str) -> Variable:
-        for v in self.variables:
-            if v.id == var_id:
-                return v
-        raise InputError(f"unknown variable {var_id!r}")
+        return self.variables[self.index(var_id)]
 
     def index(self, var_id: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.id == var_id:
-                return i
-        raise InputError(f"unknown variable {var_id!r}")
+        try:
+            return self._position[var_id]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown variable {var_id!r}") from None
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         return self.var(var_id).domain
@@ -274,11 +274,10 @@ def _relation_store(bcs: Bcs) -> _Store:
     self-loop constraints) on the diagonal. ``rel[j][i]`` is always the
     transpose of ``rel[i][j]``."""
     sizes = [len(v.domain) for v in bcs.variables]
-    pos = {v.id: i for i, v in enumerate(bcs.variables)}
     rel = [[tuple(1 << x for x in range(si)) if i == j else ((1 << sj) - 1,) * si
             for j, sj in enumerate(sizes)] for i, si in enumerate(sizes)]
     for c in bcs.constraints:
-        i, j = pos[c.source], pos[c.target]
+        i, j = bcs.index(c.source), bcs.index(c.target)
         _narrow(rel, i, j, tuple(a & b for a, b in zip(rel[i][j], c.rows)))
     return rel
 
@@ -325,11 +324,11 @@ class PropagatedBcs:
         return bool(self._store) and not any(self._store[0][0])
 
     def pair(self, x: str, y: str) -> Correspondence:
+        try:
+            i, j = self.bcs.index(x), self.bcs.index(y)
+        except InputError:
+            raise InputError(f"no variable pair ({x!r}, {y!r})") from None
         variables = self.bcs.variables
-        names = [v.id for v in variables]
-        if x not in names or y not in names:
-            raise InputError(f"no variable pair ({x!r}, {y!r})")
-        i, j = names.index(x), names.index(y)
         return Correspondence(x, y, variables[i].domain, variables[j].domain, self._store[i][j])
 
     def narrowed(self) -> bool:
@@ -492,62 +491,77 @@ def _check_claim(bcs: Bcs, claim: Correspondence) -> None:
         raise InputError("claim domains do not match the structure")
 
 
-def _with_complement(bcs: Bcs, rel: _Store, claim: Correspondence) -> _Store | None:
-    """A copy of ``rel`` with the claim's pair narrowed by its complement, or
-    None when that empties the pair's relation. From the normalized store,
-    this is the store of ``bcs.with_constraints([claim.complement()])``."""
+class DecisionMode(Enum):
+    EXACT = "exact"
+    PROPAGATION = "propagation"
+    REFUTATION = "refutation"
+
+
+def _store(bcs: Bcs, mode: DecisionMode) -> _Store:
+    """The store that :func:`_decide` reads in ``mode``: the normalized store
+    for exact mode, the path-consistency fixed point's store otherwise."""
+    if mode is DecisionMode.EXACT:
+        return _relation_store(bcs)
+    return path_consistency(bcs)._store
+
+
+def _decide(bcs: Bcs, rel: _Store, claim: Correspondence, mode: DecisionMode,
+            witnesses: Iterable[Assignment] = ()) -> tuple[bool, Assignment | None]:
+    """Whether ``bcs`` implies the claim, as ``mode`` decides it on
+    ``rel = _store(bcs, mode)`` (see the module docstring), and the
+    satisfying assignment found to violate it, if any. ``witnesses`` are
+    satisfying assignments found earlier; ``rel`` is not changed."""
+    if any(not claim.contains(w[claim.source], w[claim.target]) for w in witnesses):
+        return False, None
     _check_claim(bcs, claim)
     x, y = bcs.index(claim.source), bcs.index(claim.target)
     narrowed = tuple(a & ~b for a, b in zip(rel[x][y], claim.rows))
     if not any(narrowed):
-        return None
+        return True, None
+    if mode is DecisionMode.PROPAGATION:
+        return False, None
     rel = [list(row) for row in rel]
     _narrow(rel, x, y, narrowed)
-    return rel
-
-
-def _violations(bcs: Bcs, claims: Iterable[Correspondence]) -> Iterator[Assignment | None]:
-    """For each claim, the first assignment that :func:`enumerate_satisfying`
-    finds for the structure plus the claim's complement, or None when the
-    structure implies the claim; one normalized store serves every claim."""
-    rel = _relation_store(bcs)
-    for claim in claims:
-        narrowed = _with_complement(bcs, rel, claim)
-        found = [] if narrowed is None else _search(bcs, narrowed, 1)
-        yield found[0] if found else None
+    if mode is DecisionMode.EXACT:
+        found = _search(bcs, rel, 1)
+        return not found, found[0] if found else None
+    witness = _descend(bcs, rel)
+    if witness is None:
+        if _refute(rel, x, y):
+            return True, None
+        witness = _descend(bcs, rel)
+    return False, witness
 
 
 def implies(bcs: Bcs, claim: Correspondence) -> bool:
     """Whether every satisfying assignment satisfies the claim (exact)."""
-    return next(_violations(bcs, [claim])) is None
+    return _decide(bcs, _store(bcs, DecisionMode.EXACT), claim, DecisionMode.EXACT)[0]
 
 
 def derivable(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     """Whether the claim follows syntactically from the propagation fixed
     point, i.e. the derived relation for the pair is inside the claim."""
-    _check_claim(propagated.bcs, claim)
-    return propagated.pair(claim.source, claim.target).subset_of(claim)
+    return _decide(propagated.bcs, propagated._store, claim, DecisionMode.PROPAGATION)[0]
 
 
 def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     """Whether adding the claim's complement to the structure derives an
     everywhere-empty relation: the answer of
     ``path_consistency(bcs.with_constraints([claim.complement()])).has_empty``,
-    computed from the structure's fixed point by :func:`_refute` instead of
-    from scratch. An empty narrowed relation refutes the claim without
-    propagating; an empty fixed point empties every narrowed relation.
+    computed from the structure's fixed point instead of from scratch. An
+    empty narrowed relation refutes the claim without propagating; an empty
+    fixed point empties every narrowed relation, and a solution found by
+    descent keeps every relation non-empty.
     """
-    rel = _with_complement(propagated.bcs, propagated._store, claim)
-    return rel is None or _refute(propagated.bcs, rel, claim)
+    return _decide(propagated.bcs, propagated._store, claim, DecisionMode.REFUTATION)[0]
 
 
-def _refute(bcs: Bcs, rel: _Store, claim: Correspondence) -> bool:
-    """Propagate ``rel``, a fixed point's store narrowed at the claim's pair
-    by :func:`_with_complement`, in place; True when that empties it. The
-    greatest fixed point is monotone, so gfp(B and C) = gfp(gfp(B) and C),
-    and only the claim's pair is queued: every other relation is consistent
-    already (the incremental step of PC-2, Mackworth 1977)."""
-    x, y = bcs.index(claim.source), bcs.index(claim.target)
+def _refute(rel: _Store, x: int, y: int) -> bool:
+    """Propagate ``rel``, a fixed point's store narrowed at the pair (x, y),
+    in place; True when that empties it. The greatest fixed point is
+    monotone, so gfp(B and C) = gfp(gfp(B) and C), and only the narrowed
+    pair is queued: every other relation is consistent already (the
+    incremental step of PC-2, Mackworth 1977)."""
     _propagate(rel, [(min(x, y), max(x, y))])
     # the loop empties every relation as soon as it empties one
     return not any(rel[x][y])

@@ -59,6 +59,14 @@ def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[str, int]]
     return ranks
 
 
+def _rank_max(ranks: Mapping[str, Mapping[str, int]]):
+    """The max operator of per-variable ranks, as a `_scan_closure` combine
+    function; it reads `ranks` when called, not when made."""
+    def vmax(var, a, b):
+        return a if ranks[var][a] >= ranks[var][b] else b
+    return vmax
+
+
 def _scan_closure(constraints: Iterable[tuple[int, Correspondence]],
                   combine) -> ClosednessReport:
     """Shared scan over (index in the structure, constraint) pairs:
@@ -78,12 +86,7 @@ def _scan_closure(constraints: Iterable[tuple[int, Correspondence]],
 def is_max_closed(bcs: Bcs, orders: VariableOrders) -> ClosednessReport:
     """Check every constraint against the max-closedness definition; the first
     violation in deterministic scan order is reported as a witness."""
-    ranks = _check_orders(bcs, orders)
-
-    def vmax(var, a, b):
-        return a if ranks[var][a] >= ranks[var][b] else b
-
-    return _scan_closure(enumerate(bcs.constraints), vmax)
+    return _scan_closure(enumerate(bcs.constraints), _rank_max(_check_orders(bcs, orders)))
 
 
 def validate_join_family(bcs: Bcs, joins: JoinFamily) -> None:
@@ -122,14 +125,9 @@ def is_join_closed(bcs: Bcs, joins: JoinFamily) -> ClosednessReport:
 
 def joins_from_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[tuple[str, str], str]]:
     """Max operators of total orders, as join tables."""
-    ranks = _check_orders(bcs, orders)
-    out = {}
-    for v in bcs.variables:
-        table = {}
-        for a, b in itertools.product(v.domain, v.domain):
-            table[(a, b)] = a if ranks[v.id][a] >= ranks[v.id][b] else b
-        out[v.id] = table
-    return out
+    vmax = _rank_max(_check_orders(bcs, orders))
+    return {v.id: {(a, b): vmax(v.id, a, b) for a, b in itertools.product(v.domain, v.domain)}
+            for v in bcs.variables}
 
 
 def join_table_from_hasse(domain: Sequence[str],
@@ -178,15 +176,12 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
         warnings.warn("order search over domains larger than 6 may be very slow")
     n = len(bcs.variables)
     by_last: dict[int, list[tuple[int, Correspondence]]] = {i: [] for i in range(n)}
-    pos = {v.id: i for i, v in enumerate(bcs.variables)}
     for idx, c in enumerate(bcs.constraints):
-        by_last[max(pos[c.source], pos[c.target])].append((idx, c))
+        by_last[max(bcs.index(c.source), bcs.index(c.target))].append((idx, c))
 
     ranks: dict[str, dict[str, int]] = {}
     chosen: dict[str, tuple[str, ...]] = {}
-
-    def vmax(var, a, b):
-        return a if ranks[var][a] >= ranks[var][b] else b
+    vmax = _rank_max(ranks)
 
     # stack[i] yields the untried orders of variable i in permutation order
     stack = [itertools.permutations(v.domain) for v in bcs.variables[:1]]

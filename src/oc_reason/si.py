@@ -8,20 +8,15 @@ propagation (complete on max-closed structures), or by refutation (adding the
 non-improvement correspondence and propagating until an empty correspondence
 appears; complete on join-closed structures).
 
-The normalized relation store and the path-consistency fixed point depend on
-the structure only, not on the queried pair, so a ``find_*`` call builds the
-one its mode reads once. Propagation answers each pair with a subset check on
-the fixed point. Exact and refutation ``find_*`` keep every satisfying
+Every pair is decided by one rule, ``bcs._decide``, on the store its mode
+reads: the normalized store for exact mode, the path-consistency fixed point
+otherwise. Neither depends on the queried pair, so a ``find_*`` call builds
+its store once. Exact and refutation ``find_*`` keep every satisfying
 assignment they find: one that violates a later pair's claim answers no for
 it in both modes, as sound propagation cannot refute a satisfiable claim
-(claim-level witness sharing, Gottlob 2012). Otherwise exact mode searches a
-copy of the store narrowed by the pair's non-improvement correspondence.
-Refutation answers a derivable claim yes, and else descends greedily, without
-backtracking, through a copy of the fixed point narrowed the same way; only
-when that fails does it propagate the copy with that pair alone queued (the
-incremental step of PC-2) and descend once more. :func:`decide_si` answers
-one pair as before, without witnesses; its refutation propagates the
-augmented structure directly, once, not twice.
+(claim-level witness sharing, Gottlob 2012). :func:`decide_si` answers one
+pair by the same rule, without witnesses, except in refutation mode, where
+it propagates the augmented structure from scratch (see its docstring).
 
 A claim on x and y compares only the outcomes of x and y, so a preference is
 tabulated per ordered variable pair on first read (:class:`Preference`), not
@@ -34,18 +29,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .bcs import (
     Assignment,
     Bcs,
     Correspondence,
-    _descend,
-    _refute,
-    _violations,
-    _with_complement,
-    derivable,
+    DecisionMode,
+    _compose_rows,
+    _decide,
+    _store,
     intersect,
     inverse,
     path_consistency,
@@ -132,19 +125,9 @@ class Preference:
             if a not in index or b not in index:
                 raise InputError(f"preference pair ({a!r}, {b!r}) is outside the domains")
             rows[index[a]] |= 1 << index[b]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(keys)):
-                acc = rows[i]
-                r = rows[i]
-                while r:
-                    j = (r & -r).bit_length() - 1
-                    acc |= rows[j]
-                    r &= r - 1
-                if acc != rows[i]:
-                    rows[i] = acc
-                    changed = True
+        # the rows are reflexive, so squaring grows them to the closure
+        while (squared := list(_compose_rows(rows, rows))) != rows:
+            rows = squared
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
                 if rows[i] >> j & 1 and rows[j] >> i & 1:
@@ -205,12 +188,6 @@ def improvement_oc(x: str, y: str, pref: Preference, strict: bool) -> Correspond
     if not strict:
         return weak
     return intersect(weak, Correspondence(x, y, dx, dy, pref.block(x, y)).complement())
-
-
-class DecisionMode(Enum):
-    EXACT = "exact"
-    PROPAGATION = "propagation"
-    REFUTATION = "refutation"
 
 
 @dataclass(frozen=True)
@@ -275,56 +252,29 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     structures). Supplied order/join certificates are checked by
     :func:`verify_certificate`.
 
-    Refutation propagates the augmented structure once, from scratch. The
-    fixed point followed by :func:`~oc_reason.bcs.refuted` would propagate
-    twice: on perfbench's 27 csp-encoded instances (seed 7, one
-    Xeon core, Python 3.11) one decision took 32 ms this way, 85 ms that way.
+    Refutation propagates the augmented structure once, from scratch,
+    instead of deciding on the fixed point as the other modes and ``find_*``
+    do: that would propagate twice. On perfbench's 27 csp-encoded instances
+    (seed 7, one Xeon core, Python 3.11) one decision took a median 20 ms
+    this way and 35 to 48 ms that way, over two runs.
     """
     claim = _claim(bcs, x, y, pref, strict)
     certified = verify_certificate(bcs, mode, orders, joins)
-    if mode is DecisionMode.EXACT:
-        witness = next(_violations(bcs, [claim]))
-        return SiVerdict(witness is None, mode, counterexample=witness)
-    if mode is DecisionMode.PROPAGATION:
-        yes = derivable(path_consistency(bcs), claim)
-    else:
+    if mode is DecisionMode.REFUTATION:
         yes = path_consistency(bcs.with_constraints([claim.complement()])).has_empty
-    return SiVerdict(yes, mode, certified=certified)
+        return SiVerdict(yes, mode, certified=certified)
+    yes, witness = _decide(bcs, _store(bcs, mode), claim, mode)
+    return SiVerdict(yes, mode, counterexample=witness, certified=certified)
 
 
 def _improving(bcs: Bcs, pairs, pref: Preference, strict: bool,
                mode: DecisionMode) -> list[tuple[str, str]]:
-    """The pairs (x, y) whose y safely improves on x, in the given order;
-    exact and refutation mode check each pair against the witnesses found
-    for earlier pairs before they search or propagate."""
+    """The pairs (x, y) whose y safely improves on x, in the given order,
+    decided on one store with the witnesses found for earlier pairs."""
     found, witnesses = [], []
-    if mode is DecisionMode.EXACT:
-        # _violations reads its claims lazily, so a claim queued just before
-        # next(searches) is the one searched
-        queued: list[Correspondence] = []
-        searches = _violations(bcs, iter(queued.pop, None))
-    else:
-        fixed_point = path_consistency(bcs)
+    rel = _store(bcs, mode)
     for x, y in pairs:
-        claim = _claim(bcs, x, y, pref, strict)
-        if mode is DecisionMode.REFUTATION:
-            rel = _with_complement(bcs, fixed_point._store, claim)
-        witness = None
-        if mode is DecisionMode.PROPAGATION:
-            yes = derivable(fixed_point, claim)
-        elif mode is DecisionMode.REFUTATION and rel is None:
-            yes = True
-        elif any(not claim.contains(w[claim.source], w[claim.target]) for w in witnesses):
-            yes = False
-        elif mode is DecisionMode.EXACT:
-            queued.append(claim)
-            witness = next(searches)
-            yes = witness is None
-        else:
-            witness = _descend(bcs, rel)
-            yes = witness is None and _refute(bcs, rel, claim)
-            if witness is None and not yes:
-                witness = _descend(bcs, rel)
+        yes, witness = _decide(bcs, rel, _claim(bcs, x, y, pref, strict), mode, witnesses)
         if witness is not None:
             witnesses.append(witness)
         if yes:

@@ -26,7 +26,7 @@ from oc_reason import (
     random_bcs,
     refuted,
 )
-from oc_reason.bcs import _descend, _relation_store, _violations
+from oc_reason.bcs import DecisionMode, _decide, _descend, _relation_store, _store
 from conftest import brute_force_compose, coloring_bcs
 
 
@@ -425,39 +425,64 @@ def first_violation_reference(b, claim):
     return found[0] if found else None
 
 
-class TestViolations:
-    def test_equals_the_oracle_on_the_augmented_structure(self):
+class TestDecide:
+    """The one claim rule in each mode, against a reference per mode that
+    does not go through it, on one store per structure."""
+
+    def test_each_mode_equals_its_reference(self):
         rng = random.Random(29)
         structures = list(seeded_structures(29, 120, max_vars=7))
         structures += [montanari_instance(), join_incompleteness_instance()[0]]
         seen = Counter()
         for b in structures:
-            claims = []
+            prop = path_consistency(b)
+            stores = {mode: _store(b, mode) for mode in DecisionMode}
+            before = {mode: [list(row) for row in rel] for mode, rel in stores.items()}
             for _ in range(6):
                 x, y = rng.choice(b.variables), rng.choice(b.variables)
                 p = rng.choice((0.3, 0.7, 1.0))
-                claims.append(random_relation(rng, x.id, y.id, x.domain, y.domain, p=p))
-            got = list(_violations(b, claims))
-            assert len(got) == len(claims)
-            for claim, found in zip(claims, got):
+                claim = random_relation(rng, x.id, y.id, x.domain, y.domain, p=p)
+                got = {mode: _decide(b, rel, claim, mode) for mode, rel in stores.items()}
                 expected = first_violation_reference(b, claim)
+                found = got[DecisionMode.EXACT][1]
+                assert got[DecisionMode.EXACT][0] == (expected is None)
                 assert (found and list(found.values.items())) == \
                     (expected and list(expected.values.items()))
-                assert implies(b, claim) == (expected is None)
+                assert got[DecisionMode.PROPAGATION] == \
+                    (prop.pair(claim.source, claim.target).subset_of(claim), None)
+                refuted_yes, witness = got[DecisionMode.REFUTATION]
+                assert refuted_yes == \
+                    path_consistency(b.with_constraints([claim.complement()])).has_empty
+                if witness is not None:
+                    assert not refuted_yes and witness.satisfies(b)
+                    assert not claim.contains(witness[claim.source], witness[claim.target])
+                assert (implies(b, claim), derivable(prop, claim), refuted(prop, claim)) == \
+                    tuple(got[mode][0] for mode in DecisionMode)
                 given = given_relation(b, claim.source, claim.target)
                 seen["self-pair"] += claim.source == claim.target
                 seen["emptied at once"] += given.subset_of(claim)
                 seen["violated"] += expected is not None
+                seen["refuted, not derived"] += refuted_yes and not got[DecisionMode.PROPAGATION][0]
+            assert {mode: [list(row) for row in rel] for mode, rel in stores.items()} == before
             seen["unsatisfiable"] += not enumerate_satisfying(b, limit=1)
         assert seen["self-pair"] >= 50 and seen["emptied at once"] >= 100
-        assert seen["unsatisfiable"] >= 10
+        assert seen["unsatisfiable"] >= 10 and seen["refuted, not derived"] >= 1
         assert 100 <= seen["violated"] <= 6 * len(structures) - 100
+
+    def test_a_violating_witness_answers_no_without_the_store(self):
+        b = Bcs.create([("X", ("1", "2")), ("Y", ("1", "2"))])
+        witness = Assignment({"X": "1", "Y": "2"})
+        claim = rel("X", "Y", ("1", "2"), ("1", "2"), [("1", "1"), ("2", "1"), ("2", "2")])
+        for mode in DecisionMode:
+            # the store is not read: None in its place would raise
+            assert _decide(b, None, claim, mode, [witness]) == (False, None)
 
     def test_claims_are_checked(self):
         b = montanari_instance()
         foreign = Correspondence.full("X1", "Q", b.domain("X1"), ("1",))
-        with pytest.raises(InputError, match="unknown variable"):
-            list(_violations(b, [foreign]))
+        for mode in DecisionMode:
+            with pytest.raises(InputError, match="unknown variable"):
+                _decide(b, _store(b, mode), foreign, mode)
         short = Correspondence.full("X1", "X2", ("1", "2"), b.domain("X2"))
         with pytest.raises(InputError, match="claim domains"):
             implies(b, short)

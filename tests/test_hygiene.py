@@ -1,10 +1,13 @@
 """Source hygiene: no unused imports and no never-read locals in the package
-and in its tests.
+and in its tests, and no private helper that the package never reads.
 
 The scan is a plain AST walk, so it needs no linter. A name counts as read
 when it is loaded anywhere in its module (imports) or anywhere in its
 function, nested functions included (locals). Names starting with ``_`` are
-exempt from the local check, as throwaway targets.
+exempt from the local check, as throwaway targets. A module-level function
+or class named ``_name`` counts as read when some module of the package
+loads the name or reads it as an attribute; what the tests read does not
+count, so a helper kept only for them is a fork of the code in use.
 """
 
 import ast
@@ -17,6 +20,7 @@ PACKAGE = ROOT / "src" / "oc_reason"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+HELPERS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _annotations(tree: ast.AST):
@@ -85,6 +89,18 @@ def never_read_locals(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def dead_private_helpers(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """The module-level functions and classes named ``_name`` that no tree
+    reads, by name or as an attribute, as (module, line, name)."""
+    read = set()
+    for tree in trees.values():
+        read |= _loaded(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [(module, node.lineno, node.name) for module, tree in trees.items()
+            for node in tree.body if isinstance(node, HELPERS)
+            and node.name.startswith("_") and node.name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports_or_never_read_locals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -107,3 +123,29 @@ def test_the_scan_finds_both_kinds():
         "    return total\n")
     assert unused_imports(tree) == [(1, "json")]
     assert never_read_locals(tree) == [(4, "helper"), (6, "table")]
+
+
+def test_no_dead_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_helpers(trees) == []
+
+
+def test_the_scan_finds_dead_private_helpers():
+    trees = {
+        "a.py": ast.parse(
+            "def _used():\n"
+            "    return 1\n"
+            "def _dead():\n"
+            "    return _used()\n"
+            "class _Unread:\n"
+            "    pass\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "def public():\n"
+            "    pass\n"),
+        "b.py": ast.parse(
+            "import a\n"
+            "helper = a._by_attribute\n"),
+    }
+    assert dead_private_helpers(trees) == [("a.py", 3, "_dead"), ("a.py", 5, "_Unread")]

@@ -344,6 +344,7 @@ class TestFindSi:
     def test_one_propagation_per_call(self, monkeypatch):
         # find_* share one fixed point across their pairs; decide_si keeps
         # one propagation per pair, not the fixed point plus a restart
+        import oc_reason.bcs as bcs_module
         import oc_reason.si as si
         calls = []
 
@@ -351,6 +352,9 @@ class TestFindSi:
             calls.append(bcs)
             return path_consistency(bcs)
 
+        # find_* and decide_si's exact and propagation modes build their
+        # store in bcs; decide_si's refutation propagates in si
+        monkeypatch.setattr(bcs_module, "path_consistency", counted)
         monkeypatch.setattr(si, "path_consistency", counted)
         bcs, _ = random_max_closed_bcs(random.Random(34), 5, 3)
         pref = Preference.from_relation({v.id: v.domain for v in bcs.variables},
@@ -518,8 +522,8 @@ def test_witnesses_spare_searches_and_propagations(monkeypatch):
 
     logged(si, "_claim")
     logged(bcs_module, "_search")
-    logged(si, "_descend")
-    logged(si, "_refute")
+    logged(bcs_module, "_descend")
+    logged(bcs_module, "_refute")
     counts = {"answered": 0, "searched": 0, "propagated": 0, "descended": 0}
     rng = random.Random(63)
     structures = [planted_bcs(rng, n) for n in (12, 14)]
