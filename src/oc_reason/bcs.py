@@ -51,6 +51,11 @@ class Variable:
     def __post_init__(self):
         if not self.domain:
             raise InputError(f"variable {self.id!r} has an empty domain")
+        for label in (self.id, *self.domain):
+            try:
+                hash(label)
+            except TypeError:
+                raise InputError(f"unhashable label {label!r} in variable {self.id!r}") from None
         if len(set(self.domain)) != len(self.domain):
             raise InputError(f"variable {self.id!r} has duplicate domain values")
 
@@ -167,6 +172,21 @@ def _compose_rows(rows_ab: Sequence[int], rows_bc: Sequence[int]) -> tuple[int, 
             r &= r - 1
         out.append(acc)
     return tuple(out)
+
+
+def _closure(rows: Sequence[int]) -> tuple[int, ...]:
+    """The transitive closure of reflexive bitmask rows: squaring only grows
+    reflexive rows, so it stops at the closure."""
+    rows = tuple(rows)
+    while (squared := _compose_rows(rows, rows)) != rows:
+        rows = squared
+    return rows
+
+
+def _mutual(rows: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair i < j whose rows each contain the other, or None."""
+    return next(((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+                 if rows[i] >> j & 1 and rows[j] >> i & 1), None)
 
 
 def compose(phi: Correspondence, psi: Correspondence) -> Correspondence:

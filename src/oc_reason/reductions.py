@@ -266,53 +266,30 @@ def random_bcs(rng: random.Random, n_vars: int, max_domain: int,
 
 def random_semilattice(rng: random.Random, max_size: int) -> tuple[tuple[str, ...], dict]:
     """A random join semilattice of at most `max_size` elements: a chain, a
-    rooted tree under lowest-common-ancestor, or a union-closed set family."""
+    rooted tree under lowest-common-ancestor, or a union-closed set family,
+    each given by (lower, upper) edges and compiled by `join_table_from_hasse`."""
     kind = rng.choice(("chain", "tree", "sets"))
-    if kind == "chain":
+    if kind != "sets":
         size = rng.randint(1, max_size)
         dom = tuple(f"e{i}" for i in range(size))
-        table = {(a, b): dom[max(i, j)]
-                 for i, a in enumerate(dom) for j, b in enumerate(dom)}
-        return dom, table
-    if kind == "tree":
-        size = rng.randint(1, max_size)
-        dom = tuple(f"e{i}" for i in range(size))
-        parent = {0: None}
-        for i in range(1, size):
-            parent[i] = rng.randrange(i)
-        ancestry = {}
-        for i in range(size):
-            chain = [i]
-            while parent[chain[-1]] is not None:
-                chain.append(parent[chain[-1]])
-            ancestry[i] = chain
-        table = {}
-        for i in range(size):
-            for j in range(size):
-                up = set(ancestry[j])
-                lca = next(a for a in ancestry[i] if a in up)
-                table[(dom[i], dom[j])] = dom[lca]
-        return dom, table
+        if kind == "chain":
+            edges = [(dom[i - 1], dom[i]) for i in range(1, size)]
+        else:
+            # each element sits below its parent, so joins are common ancestors
+            edges = [(dom[i], dom[rng.randrange(i)]) for i in range(1, size)]
+        return dom, join_table_from_hasse(dom, edges)
     ground = rng.randint(2, 3)
     for _ in range(50):
         masks = {rng.randint(1, (1 << ground) - 1) for _ in range(rng.randint(1, 3))}
-        family = set(masks)
-        frontier = list(masks)
-        while frontier:
-            m = frontier.pop()
-            for other in list(family):
-                u = m | other
-                if u not in family:
-                    family.add(u)
-                    frontier.append(u)
+        family = {0}
+        for m in masks:
+            family |= {f | m for f in family}
+        family.discard(0)
         if len(family) <= max_size:
-            ordered = sorted(family)
-            dom = tuple(f"s{m}" for m in ordered)
-            pos = {m: f"s{m}" for m in ordered}
-            table = {(pos[a], pos[b]): pos[a | b] for a in ordered for b in ordered}
-            return dom, table
-    dom = ("e0",)
-    return dom, {("e0", "e0"): "e0"}
+            dom = tuple(f"s{m}" for m in sorted(family))
+            return dom, join_table_from_hasse(
+                dom, [(f"s{a}", f"s{a | b}") for a in family for b in family])
+    return ("e0",), {("e0", "e0"): "e0"}
 
 
 def _close_pairs_under_join(pairs: set[tuple[str, str]], jx, jy) -> set[tuple[str, str]]:

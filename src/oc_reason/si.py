@@ -36,8 +36,9 @@ from .bcs import (
     Bcs,
     Correspondence,
     DecisionMode,
-    _compose_rows,
+    _closure,
     _decide,
+    _mutual,
     _store,
     intersect,
     inverse,
@@ -122,18 +123,16 @@ class Preference:
         index = {k: i for i, k in enumerate(keys)}
         rows = [1 << i for i in range(len(keys))]
         for a, b in geq_pairs:
-            if a not in index or b not in index:
-                raise InputError(f"preference pair ({a!r}, {b!r}) is outside the domains")
-            rows[index[a]] |= 1 << index[b]
-        # the rows are reflexive, so squaring grows them to the closure
-        while (squared := list(_compose_rows(rows, rows))) != rows:
-            rows = squared
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                if rows[i] >> j & 1 and rows[j] >> i & 1:
-                    raise InputError(
-                        f"preference cycle between {keys[i]!r} and {keys[j]!r} "
-                        "would collapse the strict relation")
+            try:
+                rows[index[a]] |= 1 << index[b]
+            except (KeyError, TypeError):
+                raise InputError(f"preference pair ({a!r}, {b!r}) is outside the domains") from None
+        rows = _closure(rows)
+        cycle = _mutual(rows)
+        if cycle is not None:
+            i, j = cycle
+            raise InputError(f"preference cycle between {keys[i]!r} and {keys[j]!r} "
+                             "would collapse the strict relation")
         return cls(dict(domains), lambda a, b: bool(rows[index[a]] >> index[b] & 1))
 
 

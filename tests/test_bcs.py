@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 
@@ -122,6 +123,14 @@ class TestAlgebra:
 
 
 class TestBcsValidation:
+    @pytest.mark.parametrize("variables, label", [
+        ([(["a"], ("1",))], "['a']"),
+        ([("a", (["1"],))], "['1']"),
+    ])
+    def test_unhashable_label(self, variables, label):
+        with pytest.raises(InputError, match=re.escape(f"unhashable label {label}")):
+            Bcs.create(variables)
+
     def test_unknown_variable(self):
         with pytest.raises(InputError):
             Bcs.create([("X", DOM3)], [rel("X", "Y", DOM3, DOM3, [])])

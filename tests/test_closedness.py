@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -22,6 +23,7 @@ from oc_reason import (
     orders_for_assumptions,
     random_bcs,
     random_max_closed_bcs,
+    random_semilattice,
     search_max_orders,
     validate_join_family,
 )
@@ -142,6 +144,31 @@ class TestJoinClosed:
         with pytest.raises(InputError, match="dempotency"):
             validate_join_family(bcs, bad)
 
+    def test_non_associative_table_names_the_first_triple(self):
+        # idempotent and commutative, yet (a v a) v b = c while a v (a v b) = a
+        dom = ("a", "b", "c")
+        table = {(x, x): x for x in dom}
+        for (x, y), z in {("a", "b"): "c", ("a", "c"): "a", ("b", "c"): "b"}.items():
+            table[(x, y)] = table[(y, x)] = z
+        with pytest.raises(InputError, match=re.escape(
+                "associativity fails for 'X' at ('a', 'a', 'b')")):
+            validate_join_family(Bcs.create([("X", dom)]), {"X": table})
+
+    def test_equals_the_triple_scan(self):
+        rng = random.Random(46)
+        outcomes = []
+        for _ in range(3000):
+            dom, table = random_join_table(rng)
+            bcs = Bcs.create([("X", dom)])
+            got = outcome(validate_join_family, bcs, {"X": table})
+            assert got == outcome(validate_join_reference, bcs, {"X": table})
+            outcomes.append(got)
+        messages = [o for o in outcomes if isinstance(o, str)]
+        assert len(outcomes) - len(messages) >= 1000
+        for axiom in ("missing", "leaves the domain", "dempotency", "ommutativity"):
+            assert sum(axiom in m for m in messages) >= 30, axiom
+        assert sum("associativity" in m for m in messages) >= 500
+
 
 class TestHasseCompilation:
     def test_appendix_w_lattice_joins(self):
@@ -164,6 +191,131 @@ class TestHasseCompilation:
     def test_cycle_rejected(self):
         with pytest.raises(InputError, match="cycle"):
             join_table_from_hasse(("a", "b"), [("a", "b"), ("b", "a")])
+
+    def test_unhashable_edge_value_rejected(self):
+        with pytest.raises(InputError, match=re.escape("edge (['a'], 'b') references values")):
+            join_table_from_hasse(("a", "b"), [(["a"], "b")])
+
+    def test_equals_the_depth_first_compiler(self):
+        rng = random.Random(47)
+        outcomes = []
+        for _ in range(3000):
+            dom, edges = random_edge_list(rng)
+            got = outcome(join_table_from_hasse, dom, edges)
+            assert got == outcome(hasse_reference, dom, edges)
+            outcomes.append((got, edges))
+        tables = [edges for got, edges in outcomes if isinstance(got, dict)]
+        assert len(tables) >= 800
+        assert sum(a == b for edges in tables for a, b in edges) >= 100
+        messages = [got for got, _ in outcomes if isinstance(got, str)]
+        for kind in ("cycle", "least upper bound", "outside the domain"):
+            assert sum(kind in m for m in messages) >= 50, kind
+
+
+def outcome(function, *args):
+    """The function's result, or the message of the input error it raised."""
+    try:
+        return function(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def hasse_reference(domain, edges):
+    """The compiler that `join_table_from_hasse` replaced: up-sets by
+    depth-first search, then each least upper bound searched for among the
+    common upper bounds."""
+    dom = tuple(domain)
+    known = set(dom)
+    uppers = {a: {a} for a in dom}
+    adj = {a: set() for a in dom}
+    for lo, hi in edges:
+        if lo not in known or hi not in known:
+            raise InputError(f"edge ({lo!r}, {hi!r}) references values outside the domain")
+        adj[lo].add(hi)
+    for a in dom:
+        stack = [a]
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if nxt not in uppers[a]:
+                    uppers[a].add(nxt)
+                    stack.append(nxt)
+    for a in dom:
+        if a in uppers[a] - {a} or any(a in uppers[b] and b in uppers[a] for b in dom if b != a):
+            raise InputError(f"the edge list contains a cycle through {a!r}")
+    table = {}
+    for a, b in itertools.product(dom, dom):
+        common = uppers[a] & uppers[b]
+        least = [c for c in common if all(d in uppers[c] for d in common)]
+        if len(least) != 1:
+            raise InputError(f"no unique least upper bound for ({a!r}, {b!r})")
+        table[(a, b)] = least[0]
+    return table
+
+
+def validate_join_reference(bcs, joins):
+    """The validation that `validate_join_family` replaced: the same axiom
+    checks, with associativity scanned over every triple."""
+    for v in bcs.variables:
+        if v.id not in joins:
+            raise InputError(f"no join operator supplied for variable {v.id!r}")
+        table = joins[v.id]
+        dom = v.domain
+        for a, b in itertools.product(dom, dom):
+            if (a, b) not in table:
+                raise InputError(f"join table for {v.id!r} is missing the pair ({a!r}, {b!r})")
+            if table[(a, b)] not in dom:
+                raise InputError(f"join table for {v.id!r} leaves the domain at ({a!r}, {b!r})")
+        for a in dom:
+            if table[(a, a)] != a:
+                raise InputError(f"idempotency fails for {v.id!r} at {a!r}")
+        for a, b in itertools.combinations(dom, 2):
+            if table[(a, b)] != table[(b, a)]:
+                raise InputError(f"commutativity fails for {v.id!r} at ({a!r}, {b!r})")
+        for a, b, c in itertools.product(dom, repeat=3):
+            if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                raise InputError(f"associativity fails for {v.id!r} at ({a!r}, {b!r}, {c!r})")
+
+
+def random_edge_list(rng):
+    """A domain of up to seven values and an edge list over it: a random
+    acyclic order, often with a top added, or arbitrary edges (cycles and
+    self-loops), now and then with an edge leaving the domain."""
+    dom = tuple(f"v{i}" for i in rng.sample(range(10), rng.randint(1, 7)))
+    if rng.random() < 0.5:
+        ranked = rng.sample(dom, len(dom))
+        edges = [(a, b) for a, b in itertools.combinations(ranked, 2) if rng.random() < 0.4]
+        if rng.random() < 0.5:
+            edges += [(a, ranked[-1]) for a in ranked[:-1] if rng.random() < 0.7]
+    else:
+        edges = [(rng.choice(dom), rng.choice(dom)) for _ in range(rng.randint(0, 2 * len(dom)))]
+    if rng.random() < 0.05:
+        edges.append((rng.choice(dom), "outside"))
+    rng.shuffle(edges)
+    return dom, edges
+
+
+def random_join_table(rng):
+    """A random semilattice's table, mostly mutated: commutative rewrites
+    of some joins, a one-sided rewrite, a missing pair, a value outside the
+    domain, or a random commutative idempotent table."""
+    dom, table = random_semilattice(rng, 6)
+    table = dict(table)
+    draw = rng.random()
+    if draw < 0.6:
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(dom), rng.choice(dom)
+            table[(a, b)] = table[(b, a)] = rng.choice(dom)
+    elif draw < 0.65:
+        table[(rng.choice(dom), rng.choice(dom))] = rng.choice(dom)
+    elif draw < 0.7:
+        del table[(rng.choice(dom), rng.choice(dom))]
+    elif draw < 0.75:
+        table[(rng.choice(dom), rng.choice(dom))] = "outside"
+    elif draw < 0.9:
+        for a, b in itertools.combinations(dom, 2):
+            table[(a, b)] = table[(b, a)] = rng.choice(dom)
+    return dom, table
 
 
 def random_game_set(rng, stag_pair):

@@ -217,6 +217,31 @@ class TestRandomGenerators:
             bcs = Bcs.create([("X", dom)])
             validate_join_family(bcs, {"X": table})
 
+    @pytest.mark.parametrize("seed, dom, joins, next_bits", [
+        # a chain e0 < e1 < ... < e4
+        (1, "e0 e1 e2 e3 e4",
+         "e0 e1 e2 e3 e4 e1 e1 e2 e3 e4 e2 e2 e2 e3 e4 e3 e3 e3 e3 e4 e4 e4 e4 e4 e4",
+         3639700191),
+        # trees rooted at e0
+        (9, "e0 e1 e2 e3 e4",
+         "e0 e0 e0 e0 e0 e0 e1 e1 e0 e1 e0 e1 e2 e0 e1 e0 e0 e0 e3 e0 e0 e1 e1 e0 e4",
+         3721854805),
+        (11, "e0 e1 e2 e3 e4",
+         "e0 e0 e0 e0 e0 e0 e1 e1 e1 e1 e0 e1 e2 e2 e1 e0 e1 e2 e3 e1 e0 e1 e1 e1 e4",
+         793110136),
+        # union-closed set families
+        (30, "s1 s5 s6 s7", "s1 s5 s7 s7 s5 s5 s7 s7 s7 s7 s6 s7 s7 s7 s7 s7", 3552168409),
+        (34, "s1 s2 s3 s7", "s1 s3 s3 s7 s3 s2 s3 s7 s3 s3 s3 s7 s7 s7 s7 s7", 3859649351),
+    ])
+    def test_semilattice_draws_are_pinned(self, seed, dom, joins, next_bits):
+        rng = random.Random(seed)
+        got_dom, table = random_semilattice(rng, 5)
+        assert got_dom == tuple(dom.split())
+        assert list(table) == [(a, b) for a in got_dom for b in got_dom]
+        assert " ".join(table.values()) == joins
+        # the draws stay in step: the next random bits are those that followed
+        assert rng.getrandbits(32) == next_bits
+
     def test_join_closed_generator(self):
         rng = random.Random(66)
         for _ in range(30):

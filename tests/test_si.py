@@ -1,6 +1,7 @@
 """Preferences, improvement correspondences, and the three decision modes."""
 
 import random
+import re
 
 import pytest
 
@@ -87,6 +88,8 @@ class TestPreferences:
         with pytest.raises(InputError, match="cycle"):
             Preference.from_pairs(domains, [
                 (("X", "a"), ("X", "b")), (("X", "b"), ("X", "a"))])
+        with pytest.raises(InputError, match=re.escape("(('X', ['a']), ('X', 'b')) is outside")):
+            Preference.from_pairs(domains, [(("X", ["a"]), ("X", "b"))])
 
 
 def eager_reference(domains, geq):
