@@ -7,16 +7,17 @@ propagation to the greatest fixed point of the transitivity, intersection,
 reflexivity and symmetry rules, and an exact backtracking oracle used as
 ground truth throughout the test suite.
 
-Relations are stored as per-source-value bitmasks over the target domain,
-which keeps propagation and the oracle fast without any dependencies.
 Propagation and the oracle share one directed relation store, ``rel[i][j]``
 for every ordered pair of variable positions, built once from the
-constraints. Its invariant is that ``rel[j][i]`` is always the transpose of
-``rel[i][j]``: the single narrowing step stores a shrunk relation together
-with its transpose, so the symmetry rule holds by construction and neither
-loop transposes on read. Both propagation loops apply the same revision step
-(compose through a third variable, intersect, narrow) and record whether any
-narrowing happened, which is what ``PropagatedBcs.narrowed()`` reports.
+constraints. Each relation is one int with stride D, the largest domain: bit
+``a * D + b`` is set iff the a-th value of i and the b-th of j are related.
+Composing i->t->j ORs, over each value b of t that i reaches, column b of
+i->t (``rel[i][t] >> b`` masked to bit 0 of each row) times row b of t->j:
+a revision is a few big-int operations. Columns are D bits apart, so
+``rel[j][i]`` is always kept as the transpose of ``rel[i][j]``: the single
+narrowing step, rare next to reads, stores both, and the symmetry rule holds
+by construction. The full sweeps that the worklist is tested against revise
+by the public ``compose`` and ``intersect`` on tuple rows.
 
 Every claim is decided by one rule, ``_decide``, which asks whether the
 structure plus the claim's complement has a solution. A satisfying
@@ -35,9 +36,11 @@ and empties the rest, which is the fixed point the full sweeps reach.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import lshift
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -100,10 +103,8 @@ class Correspondence:
     @classmethod
     def full(cls, source: str, target: str,
              source_domain: Sequence[str], target_domain: Sequence[str]) -> "Correspondence":
-        td = tuple(target_domain)
-        mask = (1 << len(td)) - 1
-        return cls(source, target, tuple(source_domain), td,
-                   tuple(mask for _ in source_domain))
+        return cls(source, target, tuple(source_domain), tuple(target_domain),
+                   ((1 << len(target_domain)) - 1,) * len(source_domain))
 
     @classmethod
     def empty(cls, source: str, target: str,
@@ -153,11 +154,10 @@ class Correspondence:
 def _transpose_rows(rows: Sequence[int], n_target: int) -> tuple[int, ...]:
     out = [0] * n_target
     for i, row in enumerate(rows):
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
+        while row:
+            j = (row & -row).bit_length() - 1
             out[j] |= 1 << i
-            r &= r - 1
+            row &= row - 1
     return tuple(out)
 
 
@@ -228,6 +228,7 @@ class Bcs:
         if len(position) != len(self.variables):
             raise InputError("duplicate variable ids")
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_stride", max((len(v.domain) for v in self.variables), default=0))
         for c in self.constraints:
             if c.source not in position or c.target not in position:
                 raise InputError(f"constraint {c.source}->{c.target} references unknown variables")
@@ -283,40 +284,48 @@ class Assignment:
         return tuple(self.values[v.id] for v in bcs.variables)
 
 
-_Store = list[list[tuple[int, ...]]]
+_Store = list[list[int]]
+
+
+def _pack(rows: Sequence[int], stride: int) -> int:
+    """Bitmask rows as one int, row i shifted by ``i * stride``."""
+    return sum(map(lshift, rows, itertools.count(0, stride)))
+
+
+def _transpose(packed: int, stride: int) -> int:
+    out = 0
+    while packed:
+        i, j = divmod(top := packed.bit_length() - 1, stride)
+        out |= 1 << j * stride + i
+        packed ^= 1 << top
+    return out
 
 
 def _relation_store(bcs: Bcs) -> _Store:
-    """The directed relation store: ``rel[i][j]`` holds the rows of the
-    relation from variable i to variable j (by position) for every ordered
-    pair, the intersection of all given constraints between them in either
-    direction; the full relation when there are none; identity (restricted by
-    self-loop constraints) on the diagonal. ``rel[j][i]`` is always the
-    transpose of ``rel[i][j]``."""
-    sizes = [len(v.domain) for v in bcs.variables]
-    rel = [[tuple(1 << x for x in range(si)) if i == j else ((1 << sj) - 1,) * si
+    """The directed relation store: ``rel[i][j]`` holds the packed relation
+    from variable i to variable j (by position) for every ordered pair, the
+    intersection of all given constraints between them in either direction;
+    the full relation when there are none; identity (restricted by self-loop
+    constraints) on the diagonal. ``rel[j][i]`` is always the transpose of
+    ``rel[i][j]``."""
+    sizes, stride = [len(v.domain) for v in bcs.variables], bcs._stride
+    lead = [_pack([1] * s, stride) for s in sizes]      # bit 0 of each row
+    rel = [[_pack([1] * si, stride + 1) if i == j else lead[i] * ((1 << sj) - 1)
             for j, sj in enumerate(sizes)] for i, si in enumerate(sizes)]
     for c in bcs.constraints:
         i, j = bcs.index(c.source), bcs.index(c.target)
-        _narrow(rel, i, j, tuple(a & b for a, b in zip(rel[i][j], c.rows)))
+        _narrow(rel, i, j, rel[i][j] & _pack(c.rows, stride), stride)
     return rel
 
 
-def _narrow(rel: _Store, x: int, y: int, rows: tuple[int, ...]) -> bool:
-    """Store ``rows``, a subset of ``rel[x][y]``, as the x->y relation and its
-    transpose as y->x; returns True when the relation shrank."""
-    if rows == rel[x][y]:
+def _narrow(rel: _Store, x: int, y: int, packed: int, stride: int) -> bool:
+    """Store ``packed``, a subset of ``rel[x][y]``, as the x->y relation and
+    its transpose as y->x; returns True when the relation shrank."""
+    if packed == rel[x][y]:
         return False
-    rel[x][y] = rows
-    rel[y][x] = _transpose_rows(rows, len(rel[y][x]))
+    rel[x][y] = packed
+    rel[y][x] = _transpose(packed, stride)
     return True
-
-
-def _revise(rel: _Store, x: int, t: int, y: int) -> bool:
-    """One inference step: narrow x->y to its intersection with the
-    composition x->t->y (transitivity plus intersection)."""
-    via = _compose_rows(rel[x][t], rel[t][y])
-    return _narrow(rel, x, y, tuple(c & v for c, v in zip(rel[x][y], via)))
 
 
 @dataclass(frozen=True)
@@ -341,52 +350,64 @@ class PropagatedBcs:
     def has_empty(self) -> bool:
         # at a greatest fixed point one empty relation empties every
         # relation, so the first diagonal relation answers for all
-        return bool(self._store) and not any(self._store[0][0])
+        return bool(self._store) and not self._store[0][0]
 
     def pair(self, x: str, y: str) -> Correspondence:
         try:
             i, j = self.bcs.index(x), self.bcs.index(y)
         except InputError:
             raise InputError(f"no variable pair ({x!r}, {y!r})") from None
-        variables = self.bcs.variables
-        return Correspondence(x, y, variables[i].domain, variables[j].domain, self._store[i][j])
+        u, v, stride = self.bcs.variables[i], self.bcs.variables[j], self.bcs._stride
+        rows = (self._store[i][j] >> a * stride & (1 << stride) - 1 for a in range(len(u.domain)))
+        return Correspondence(x, y, u.domain, v.domain, tuple(rows))
 
     def narrowed(self) -> bool:
         return self.shrank
 
 
-def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]]) -> bool:
+def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bool:
     """The worklist loop: revise every relation that a queued pair (a, b),
     a <= b, feeds until the queue is empty; returns True when any relation
     shrank. Queuing a pair whenever its relation shrinks keeps the invariant
     that every unqueued pair has been revised against the current store, so
     the loop ends at the greatest fixed point below ``rel`` provided every
     pair whose relation is not already consistent with the rest is seeded.
+    A revision narrows x->y by x->t->y through the columns of x->t read once
+    per pop; if x->t shrinks meanwhile, they are a sound superset.
 
     The first revision that empties a relation empties the whole store and
     ends the loop: revising x->k through an empty x->y empties x->k for
     every k, the diagonal included, and then every k->j through x. So one
     empty relation makes the all-empty store the greatest fixed point."""
     n = len(rel)
+    full, column = (1 << stride) - 1, _pack([1] * stride, stride)
     queue = deque(seeds)
     queued = set(queue)
     shrank = False
     while queue:
         a, b = queue.popleft()
         queued.discard((a, b))
-        for k in range(n):
-            # shrink (a,k) through b, and (b,k) through a
-            for (x, t, y) in ((a, b, k), (b, a, k)):
-                if _revise(rel, x, t, y):
-                    if not any(rel[x][y]):
-                        for row in rel:
-                            row[:] = [(0,) * len(rows) for rows in row]
-                        return True
-                    shrank = True
-                    key = (min(x, y), max(x, y))
-                    if key not in queued:
-                        queued.add(key)
-                        queue.append(key)
+        # shrink (a,y) through b, and (b,y) through a, for every y
+        for x, t in ((a, b), (b, a)):
+            rel_x, rel_t, x_t = rel[x], rel[t], rel[x][t]
+            columns = [(j * stride, col) for j in range(stride) if (col := x_t >> j & column)]
+            for y in range(n):
+                via, t_y = 0, rel_t[y]
+                for shift, col in columns:
+                    via |= col * (t_y >> shift & full)
+                narrowed = rel_x[y] & via
+                if narrowed == rel_x[y]:
+                    continue
+                _narrow(rel, x, y, narrowed, stride)
+                if not narrowed:
+                    for row in rel:
+                        row[:] = [0] * n
+                    return True
+                shrank = True
+                key = (min(x, y), max(x, y))
+                if key not in queued:
+                    queued.add(key)
+                    queue.append(key)
     return shrank
 
 
@@ -400,28 +421,29 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     """
     rel = _relation_store(bcs)
     n = len(rel)
-    shrank = _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)))
+    shrank = _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)), bcs._stride)
     return PropagatedBcs(bcs, rel, shrank)
 
 
 def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
     """Naive repeated-inference loop: full sweeps over all ordered variable
-    triples until a sweep makes no progress. Records the sweep count, which is
+    triples until a sweep makes no progress, revising through the public
+    :func:`compose` and :func:`intersect`. Records the sweep count, which is
     bounded by (number of variables)^2 * (max domain size)^2."""
-    rel = _relation_store(bcs)
-    n = len(rel)
-    sweeps = 0
-    progress = True
+    normalized = PropagatedBcs(bcs, _relation_store(bcs), False)
+    rel = [[normalized.pair(x.id, y.id) for y in bcs.variables] for x in bcs.variables]
+    sweeps, progress = 0, True
     while progress:
         progress = False
         sweeps += 1
-        for x in range(n):
-            for t in range(n):
-                for y in range(n):
-                    if _revise(rel, x, t, y):
-                        progress = True
+        for x, t, y in itertools.product(range(len(rel)), repeat=3):
+            revised = intersect(rel[x][y], compose(rel[x][t], rel[t][y]))
+            if revised != rel[x][y]:
+                rel[x][y], rel[y][x] = revised, inverse(revised)
+                progress = True
     # a sweep without progress ends the loop, so any narrowing takes two
-    return PropagatedBcs(bcs, rel, sweeps > 1, sweeps)
+    return PropagatedBcs(bcs, [[_pack(c.rows, bcs._stride) for c in row] for row in rel],
+                         sweeps > 1, sweeps)
 
 
 def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]:
@@ -441,12 +463,12 @@ def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]
 
 def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
     """The oracle's search over the store ``rel`` of ``bcs``'s variables."""
-    n = len(rel)
+    n, stride = len(rel), bcs._stride
     found: list[Assignment] = []
     chosen = [0] * n
     # stack[d][j] (j >= d): the values of variable j consistent with the
     # values chosen for variables before d; stack[d][d] shrinks as tried
-    stack = [_domain_masks(rel)]
+    stack = [_domain_masks(rel, stride)]
     while stack:
         depth = len(stack) - 1
         masks = stack[depth]
@@ -463,9 +485,10 @@ def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
         masks[depth] &= masks[depth] - 1
         chosen[depth] = x
         nxt = list(masks)
+        row, shift = rel[depth], x * stride     # row x: the masks drop the rows above
         for j in range(depth + 1, n):
-            nxt[j] &= rel[depth][j][x]
-            if nxt[j] == 0:
+            nxt[j] = live = nxt[j] & row[j] >> shift
+            if not live:
                 break
         else:
             stack.append(nxt)
@@ -477,15 +500,16 @@ def _descend(bcs: Bcs, rel: _Store) -> Assignment | None:
     n^2 times the largest domain mask operations: each variable, in listed
     order, takes its first value that leaves every later one a value
     consistent with the choices so far; None when some variable has none."""
-    n = len(rel)
-    masks = _domain_masks(rel)
+    n, stride = len(rel), bcs._stride
+    masks = _domain_masks(rel, stride)
     chosen = []
     for depth in range(n):
         candidates = masks[depth]
         while candidates:
             x = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            later = [masks[j] & rel[depth][j][x] for j in range(depth + 1, n)]
+            row, shift = rel[depth], x * stride
+            later = [masks[j] & row[j] >> shift for j in range(depth + 1, n)]
             if all(later):
                 break
         else:
@@ -495,20 +519,14 @@ def _descend(bcs: Bcs, rel: _Store) -> Assignment | None:
     return _assignment(bcs, chosen)
 
 
-def _domain_masks(rel: _Store) -> list[int]:
-    """Each variable's values that its diagonal relation keeps, as a mask."""
-    return [sum(1 << x for x, row in enumerate(rel[i][i]) if row >> x & 1)
-            for i in range(len(rel))]
+def _domain_masks(rel: _Store, stride: int) -> list[int]:
+    """Each variable's live values: the product moves diagonal bit x to (D - 1) * D + x."""
+    column, full = _pack([1] * stride, stride), (1 << stride) - 1
+    return [rel[i][i] * column >> (stride - 1) * stride & full for i in range(len(rel))]
 
 
 def _assignment(bcs: Bcs, chosen: Sequence[int]) -> Assignment:
     return Assignment({v.id: v.domain[x] for v, x in zip(bcs.variables, chosen)})
-
-
-def _check_claim(bcs: Bcs, claim: Correspondence) -> None:
-    if (bcs.domain(claim.source), bcs.domain(claim.target)) != \
-            (claim.source_domain, claim.target_domain):
-        raise InputError("claim domains do not match the structure")
 
 
 class DecisionMode(Enum):
@@ -533,21 +551,23 @@ def _decide(bcs: Bcs, rel: _Store, claim: Correspondence, mode: DecisionMode,
     satisfying assignments found earlier; ``rel`` is not changed."""
     if any(not claim.contains(w[claim.source], w[claim.target]) for w in witnesses):
         return False, None
-    _check_claim(bcs, claim)
+    if (bcs.domain(claim.source), bcs.domain(claim.target)) != \
+            (claim.source_domain, claim.target_domain):
+        raise InputError("claim domains do not match the structure")
     x, y = bcs.index(claim.source), bcs.index(claim.target)
-    narrowed = tuple(a & ~b for a, b in zip(rel[x][y], claim.rows))
-    if not any(narrowed):
+    narrowed = rel[x][y] & ~_pack(claim.rows, bcs._stride)
+    if not narrowed:
         return True, None
     if mode is DecisionMode.PROPAGATION:
         return False, None
     rel = [list(row) for row in rel]
-    _narrow(rel, x, y, narrowed)
+    _narrow(rel, x, y, narrowed, bcs._stride)
     if mode is DecisionMode.EXACT:
         found = _search(bcs, rel, 1)
         return not found, found[0] if found else None
     witness = _descend(bcs, rel)
     if witness is None:
-        if _refute(rel, x, y):
+        if _refute(rel, x, y, bcs._stride):
             return True, None
         witness = _descend(bcs, rel)
     return False, witness
@@ -576,15 +596,15 @@ def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     return _decide(propagated.bcs, propagated._store, claim, DecisionMode.REFUTATION)[0]
 
 
-def _refute(rel: _Store, x: int, y: int) -> bool:
+def _refute(rel: _Store, x: int, y: int, stride: int) -> bool:
     """Propagate ``rel``, a fixed point's store narrowed at the pair (x, y),
     in place; True when that empties it. The greatest fixed point is
     monotone, so gfp(B and C) = gfp(gfp(B) and C), and only the narrowed
     pair is queued: every other relation is consistent already (the
     incremental step of PC-2, Mackworth 1977)."""
-    _propagate(rel, [(min(x, y), max(x, y))])
+    _propagate(rel, [(min(x, y), max(x, y))], stride)
     # the loop empties every relation as soon as it empties one
-    return not any(rel[x][y])
+    return not rel[x][y]
 
 
 def pin(var: str, domain: Sequence[str], value: str) -> Correspondence:

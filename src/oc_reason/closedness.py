@@ -151,6 +151,11 @@ def join_table_from_hasse(domain: Sequence[str],
     The up-sets are the bitmask closure of the edges over domain positions.
     Without cycles, c is the least upper bound of a and b exactly when its
     up-set is the common up-set of a and b."""
+    for label in domain:
+        try:
+            hash(label)
+        except TypeError:
+            raise InputError(f"unhashable label {label!r} in the domain") from None
     dom = tuple(dict.fromkeys(domain))
     pos = {a: i for i, a in enumerate(dom)}
     rows = [1 << i for i in range(len(dom))]

@@ -254,8 +254,9 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     Refutation propagates the augmented structure once, from scratch,
     instead of deciding on the fixed point as the other modes and ``find_*``
     do: that would propagate twice. On perfbench's 27 csp-encoded instances
-    (seed 7, one Xeon core, Python 3.11) one decision took a median 20 ms
-    this way and 35 to 48 ms that way, over two runs.
+    (seed 7, one Xeon core, Python 3.11, packed relation store) one decision
+    took a median 12.7 ms this way and 20.1 to 20.6 ms that way, over two
+    runs.
     """
     claim = _claim(bcs, x, y, pref, strict)
     certified = verify_certificate(bcs, mode, orders, joins)

@@ -10,9 +10,12 @@ import pytest
 
 from oc_reason import (
     Assignment,
+    AssumptionSelection,
     Bcs,
     Correspondence,
     InputError,
+    NormalFormGame,
+    build_assumption_bcs,
     compose,
     derivable,
     enumerate_satisfying,
@@ -27,8 +30,17 @@ from oc_reason import (
     random_bcs,
     refuted,
 )
-from oc_reason.bcs import DecisionMode, _decide, _descend, _relation_store, _store
-from conftest import brute_force_compose, coloring_bcs
+import oc_reason.bcs as bcs_module
+from oc_reason.bcs import (
+    DecisionMode,
+    _decide,
+    _descend,
+    _narrow,
+    _refute,
+    _relation_store,
+    _store,
+)
+from conftest import affine_copy, brute_force_compose, coloring_bcs, with_dominated_row
 
 
 def rel(src, tgt, sd, td, pairs):
@@ -495,3 +507,117 @@ class TestDecide:
         short = Correspondence.full("X1", "X2", ("1", "2"), b.domain("X2"))
         with pytest.raises(InputError, match="claim domains"):
             implies(b, short)
+
+
+def wide_structures(seed, count, max_vars=6):
+    """Random structures with domains of 1 to 20 values, so that the store's
+    stride, the largest domain, exceeds most variables' domains; every third
+    one is dense with sparse relations and often unsatisfiable."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 3 == 2:
+            yield random_bcs(rng, rng.randint(3, max_vars), 20, density=0.9, pair_bit=0.15)
+        else:
+            yield random_bcs(rng, rng.randint(1, max_vars), 20, density=(0.4, 0.8)[k % 3])
+
+
+def game_structures(seed, count):
+    """Assumption structures over games with 16 and 20 outcomes: a 4x4 game,
+    an affine copy and an unrelated 4x4 game; every other one adds the game
+    with a dominated extra row, a 4x5 game and its copy (20 outcomes)."""
+    rng = random.Random(seed)
+
+    def game(name, rows, cols):
+        return NormalFormGame.two_player(
+            name, [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)],
+            [[(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(cols)] for _ in range(rows)])
+
+    selection = AssumptionSelection(dominance=True, isomorphism=True, nash=True)
+    for k in range(count):
+        base = game("B", 4, 4)
+        games = [base, affine_copy(rng, base, "C"), game("U", 4, 4)]
+        if k % 2:
+            wide = game("W", 4, 5)
+            games += [with_dominated_row(rng, base, "D"), wide, affine_copy(rng, wide, "V")]
+        yield build_assumption_bcs(games, selection)
+
+
+def packed_transpose(packed, stride):
+    """The transpose of a packed relation, bit by bit."""
+    return sum(1 << (b % stride) * stride + b // stride
+               for b in range(packed.bit_length()) if packed >> b & 1)
+
+
+def assert_transposes(rel, stride):
+    for i, j in itertools.product(range(len(rel)), repeat=2):
+        assert rel[j][i] == packed_transpose(rel[i][j], stride)
+
+
+class TestPackedStore:
+    """The packed kernel against the sweeps, which revise through the public
+    algebra on tuple rows, on domains wider than the acceptance suite's."""
+
+    def test_worklist_equals_sweeps(self):
+        structures = list(wide_structures(71, 45)) + list(game_structures(72, 8))
+        seen = Counter()
+        for b in structures:
+            fast, slow = path_consistency(b), path_consistency_sweeps(b)
+            assert all(fast.pair(x.id, y.id) == slow.pair(x.id, y.id)
+                       for x in b.variables for y in b.variables)
+            assert (fast.shrank, fast.has_empty) == (slow.shrank, slow.has_empty)
+            given = [given_relation(b, x.id, y.id) for x in b.variables for y in b.variables]
+            seen["emptied mid-loop"] += fast.has_empty and \
+                not any(c.is_everywhere_empty() for c in given)
+            seen["narrowed, not empty"] += fast.shrank and not fast.has_empty
+            seen["stride above a domain"] += any(len(v.domain) < b._stride for v in b.variables)
+            seen[f"{b._stride} outcomes, narrowed"] += fast.shrank and b.variables[0].id == "B"
+        assert seen["emptied mid-loop"] >= 8 and seen["narrowed, not empty"] >= 15
+        assert seen["stride above a domain"] >= 40
+        assert seen["16 outcomes, narrowed"] >= 3 and seen["20 outcomes, narrowed"] >= 3
+
+    def test_every_narrowing_keeps_the_transposes(self, monkeypatch):
+        # the stores that the path-consistency, _decide's narrowed copies and
+        # _refute leave behind; _decide leaves its input store unchanged
+        copies = []
+
+        def recorded(name):
+            original = getattr(bcs_module, name)
+
+            def wrapper(*args):
+                out = original(*args)
+                copies.append(next(a for a in args if isinstance(a, list)))
+                return out
+            monkeypatch.setattr(bcs_module, name, wrapper)
+
+        for name in ("_search", "_descend", "_refute"):
+            recorded(name)
+        rng = random.Random(73)
+        checked = refuted_copies = 0
+        structures = list(wide_structures(73, 24, max_vars=5)) + list(game_structures(74, 4))
+        structures += [coloring_bcs(rng, rng.randint(4, 8), 0.6) for _ in range(12)]
+        for b in structures:
+            stride = b._stride
+            assert_transposes(path_consistency(b)._store, stride)
+            for mode in DecisionMode:
+                rel = _store(b, mode)
+                before = [list(row) for row in rel]
+                for _ in range(3):
+                    x, y = rng.choice(b.variables), rng.choice(b.variables)
+                    claim = random_relation(rng, x.id, y.id, x.domain, y.domain, p=0.6)
+                    copies.clear()
+                    _decide(b, rel, claim, mode)
+                    assert rel == before
+                    for copy in copies:
+                        assert copy is not rel
+                        assert_transposes(copy, stride)
+                    checked += len(copies)
+                    if mode is DecisionMode.REFUTATION and rel[0][0]:
+                        # a fixed point narrowed at one pair, propagated
+                        i, j = b.index(x.id), b.index(y.id)
+                        narrowed = [list(row) for row in rel]
+                        _narrow(narrowed, i, j,
+                                rel[i][j] & ~sum(r << k * stride for k, r in enumerate(claim.rows)),
+                                stride)
+                        refuted_copies += _refute(narrowed, i, j, stride)
+                        assert_transposes(narrowed, stride)
+        assert checked >= 100 and refuted_copies >= 5

@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from oc_reason import build_assumption_bcs, orders_for_assumptions, serialize
+from oc_reason import (
+    build_assumption_bcs,
+    enumerate_satisfying,
+    improvement_oc,
+    orders_for_assumptions,
+    pareto_preference,
+    path_consistency_sweeps,
+    serialize,
+)
 from oc_reason.cli import main
 from oc_reason.fixtures import chicken_trio, stag_hunt_pair
 
@@ -201,6 +209,39 @@ class TestGen:
         out = tmp_path / "out"
         assert main(["gen", "random-csp", "--density", "2", "--out", str(out)]) == 1
         assert not out.exists()
+
+
+class TestCspToSiAgainstReferences:
+    def test_dump_and_verdicts(self, tmp_path, capsys):
+        # propagate --dump against the sweeps' fixed point, and check-si in
+        # every mode against the oracle on the structure plus the complement
+        verdicts = set()
+        for seed in range(1, 7):
+            source, out = tmp_path / f"src{seed}", tmp_path / f"bundle{seed}"
+            assert main(["--seed", str(seed), "gen", "random-csp", "--vars", "4",
+                         "--domain", "3", "--density", "0.8", "--out", str(source)]) == 0
+            assert main(["gen", "csp-to-si", "--source", str(source / "random_csp.json"),
+                         "--out", str(out)]) == 0
+            path, dump = out / "csp_si_bcs.json", out / "fixed.json"
+            assert main(["propagate", str(path), "--dump", str(dump)]) in (0, 2)
+            bcs, games = serialize.load_bcs(path)
+            sweeps = path_consistency_sweeps(bcs)
+            names = [v.id for v in bcs.variables]
+            fixed = serialize.Bcs(bcs.variables, tuple(
+                sweeps.pair(a, b) for i, a in enumerate(names) for b in names[i:]))
+            assert dump.read_text(encoding="utf-8") == \
+                serialize.dumps(serialize.bcs_to_json(fixed))
+            pref = pareto_preference(list(games.values()))
+            for strict in (False, True):
+                claim = improvement_oc("G", "Gp", pref, strict)
+                yes = not enumerate_satisfying(bcs.with_constraints([claim.complement()]), limit=1)
+                verdicts.add(yes)
+                for mode in ("exact", "propagation", "refutation"):
+                    report = out / "report.json"
+                    main(["--json", str(report), "check-si", str(path), "G", "Gp",
+                          "--pref", "pareto", "--mode", mode] + ["--strict"] * strict)
+                    assert serialize.read_json(report)["verdict"] == ("yes" if yes else "no")
+        assert verdicts == {True, False}
 
 
 class TestReports:

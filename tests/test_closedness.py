@@ -196,6 +196,10 @@ class TestHasseCompilation:
         with pytest.raises(InputError, match=re.escape("edge (['a'], 'b') references values")):
             join_table_from_hasse(("a", "b"), [(["a"], "b")])
 
+    def test_unhashable_domain_value_rejected(self):
+        with pytest.raises(InputError, match=re.escape("unhashable label ['b'] in the domain")):
+            join_table_from_hasse(("a", ["b"]), [])
+
     def test_equals_the_depth_first_compiler(self):
         rng = random.Random(47)
         outcomes = []
