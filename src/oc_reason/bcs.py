@@ -387,8 +387,9 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
     while queue:
         a, b = queue.popleft()
         queued.discard((a, b))
-        # shrink (a,y) through b, and (b,y) through a, for every y
-        for x, t in ((a, b), (b, a)):
+        # shrink (a,y) through b, and (b,y) through a, for every y; a
+        # diagonal pair (a,a) has one direction
+        for x, t in ((a, b),) if a == b else ((a, b), (b, a)):
             rel_x, rel_t, x_t = rel[x], rel[t], rel[x][t]
             columns = [(j * stride, col) for j in range(stride) if (col := x_t >> j & column)]
             for y in range(n):

@@ -5,14 +5,16 @@ the coordinatewise maximum of any two of its pairs. Join-closedness is the
 semilattice generalization via least-upper-bound operators. This module
 verifies both conditions (with violation witnesses), searches for certifying
 orders by brute force, and constructs certifying orders for
-assumption-generated structures. All three share one closure scanner.
-Partial orders are kept as up-sets, one bitmask row per value. Hasse
-diagrams compile to join tables, and automorphism orbits are found, by the
-one closure `bcs._closure`; join tables are validated by comparing up-sets.
-Order construction reruns `build_assumption_bcs`'s derivation,
-`assumptions._derive_constraints`, with one `assumptions._Searches` memo per
-call, to learn which assumption generated each constraint.
-"""
+assumption-generated structures. Every certificate is read in one form, a
+join table per variable over domain positions: orders become max tables,
+and label join tables are converted while their axioms are checked (by
+comparing up-sets). One scan tests a constraint's pairs two at a time by a
+bit of its rows, and names labels only in a witness. Hasse diagrams compile
+to join tables, and automorphism orbits are found, by the one bitmask
+closure `bcs._closure`. Order construction reruns `build_assumption_bcs`'s
+derivation, `assumptions._derive_constraints`, with one
+`assumptions._Searches` memo per call, to learn which assumption generated
+each constraint."""
 
 from __future__ import annotations
 
@@ -48,8 +50,15 @@ class ClosednessReport:
     witness: ClosednessWitness | None = None
 
 
-def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[str, int]]:
-    ranks = {}
+def _max_table(domain: Sequence[str], order: Sequence[str]) -> list[list[int]]:
+    """The max operator of ``order``, a permutation of ``domain`` listed in
+    ascending order, as a join table over domain positions."""
+    rank = [order.index(value) for value in domain]
+    return [[a if ra >= rb else b for b, rb in enumerate(rank)] for a, ra in enumerate(rank)]
+
+
+def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, list[list[int]]]:
+    tables = {}
     for v in bcs.variables:
         if v.id not in orders:
             raise InputError(f"no order supplied for variable {v.id!r}")
@@ -58,89 +67,92 @@ def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[str, int]]
         # values of different types
         if len(order) != len(v.domain) or set(order) != set(v.domain):
             raise InputError(f"order for {v.id!r} is not a permutation of its domain")
-        ranks[v.id] = {value: i for i, value in enumerate(order)}
-    return ranks
-
-
-def _rank_max(ranks: Mapping[str, Mapping[str, int]]):
-    """The max operator of per-variable ranks, as a `_scan_closure` combine
-    function; it reads `ranks` when called, not when made."""
-    def vmax(var, a, b):
-        return a if ranks[var][a] >= ranks[var][b] else b
-    return vmax
+        tables[v.id] = _max_table(v.domain, order)
+    return tables
 
 
 def _scan_closure(constraints: Iterable[tuple[int, Correspondence]],
-                  combine) -> ClosednessReport:
-    """Shared scan over (index in the structure, constraint) pairs:
-    `combine(var_id, a, b)` must return the least upper bound."""
+                  tables: Mapping[str, Sequence[Sequence[int]]]) -> ClosednessReport:
+    """The closure scan over (index in the structure, constraint) pairs:
+    each pair of a constraint's rows, in row-major order, against every
+    later one, joined through the per-variable position tables."""
     for idx, c in constraints:
-        pairs = c.pairs()
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                (x1, y1), (x2, y2) = pairs[a], pairs[b]
-                top = (combine(c.source, x1, x2), combine(c.target, y1, y2))
-                if not c.contains(*top):
+        tx, ty, rows = tables[c.source], tables[c.target], c.rows
+        sd, td = c.source_domain, c.target_domain
+        pairs = [(i, j) for i, row in enumerate(rows) for j in range(len(td)) if row >> j & 1]
+        for a, (i1, j1) in enumerate(pairs):
+            mx, my = tx[i1], ty[j1]
+            for i2, j2 in pairs[a + 1:]:
+                if not rows[mx[i2]] >> my[j2] & 1:
                     return ClosednessReport(False, ClosednessWitness(
-                        idx, c.source, c.target, pairs[a], pairs[b], top))
+                        idx, c.source, c.target, (sd[i1], td[j1]), (sd[i2], td[j2]),
+                        (sd[mx[i2]], td[my[j2]])))
     return ClosednessReport(True)
 
 
 def is_max_closed(bcs: Bcs, orders: VariableOrders) -> ClosednessReport:
     """Check every constraint against the max-closedness definition; the first
     violation in deterministic scan order is reported as a witness."""
-    return _scan_closure(enumerate(bcs.constraints), _rank_max(_check_orders(bcs, orders)))
+    return _scan_closure(enumerate(bcs.constraints), _check_orders(bcs, orders))
 
 
-def validate_join_family(bcs: Bcs, joins: JoinFamily) -> None:
-    """Check the join tables cover all variables and satisfy the semilattice
-    axioms; raises an input error naming the failed axiom.
+def _join_tables(bcs: Bcs, joins: JoinFamily) -> dict[str, list[list[int]]]:
+    """The join tables over domain positions, once the label tables are
+    checked to cover all variables and satisfy the semilattice axioms;
+    raises an input error naming the failed axiom.
 
     Associativity is tested in O(d^2) per variable. Let up[a] be the set of
     b with T(a, b) = b. An idempotent, commutative T is associative exactly
     when up[T(a, b)] = up[a] & up[b] for all a and b: that makes b in up[a]
     a partial order and T(a, b) the least upper bound of a and b. Only when
     the test fails are the triples scanned, to name the first that fails."""
+    tables = {}
     for v in bcs.variables:
         if v.id not in joins:
             raise InputError(f"no join operator supplied for variable {v.id!r}")
-        table = joins[v.id]
-        dom = v.domain
-        for a, b in itertools.product(dom, dom):
+        table, dom = joins[v.id], v.domain
+        pos = {a: i for i, a in enumerate(dom)}
+        t = tables[v.id] = [[0] * len(dom) for _ in dom]
+        for (i, a), (j, b) in itertools.product(enumerate(dom), repeat=2):
             if (a, b) not in table:
                 raise InputError(f"join table for {v.id!r} is missing the pair ({a!r}, {b!r})")
-            if table[(a, b)] not in dom:
-                raise InputError(f"join table for {v.id!r} leaves the domain at ({a!r}, {b!r})")
-        for a in dom:
-            if table[(a, a)] != a:
+            try:
+                t[i][j] = pos[table[(a, b)]]
+            except (KeyError, TypeError):      # TypeError: an unhashable value
+                raise InputError(
+                    f"join table for {v.id!r} leaves the domain at ({a!r}, {b!r})") from None
+        for i, a in enumerate(dom):
+            if t[i][i] != i:
                 raise InputError(f"idempotency fails for {v.id!r} at {a!r}")
-        for a, b in itertools.combinations(dom, 2):
-            if table[(a, b)] != table[(b, a)]:
-                raise InputError(f"commutativity fails for {v.id!r} at ({a!r}, {b!r})")
-        up = {a: sum(1 << j for j, b in enumerate(dom) if table[(a, b)] == b) for a in dom}
-        if any(up[table[(a, b)]] != up[a] & up[b]
-               for a, b in itertools.combinations(dom, 2)):
-            for a, b, c in itertools.product(dom, repeat=3):
-                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                    raise InputError(
-                        f"associativity fails for {v.id!r} at ({a!r}, {b!r}, {c!r})")
+        pairs = list(itertools.combinations(range(len(dom)), 2))
+        for i, j in pairs:
+            if t[i][j] != t[j][i]:
+                raise InputError(f"commutativity fails for {v.id!r} at ({dom[i]!r}, {dom[j]!r})")
+        up = [sum(1 << j for j, k in enumerate(row) if k == j) for row in t]
+        if any(up[t[i][j]] != up[i] & up[j] for i, j in pairs):
+            for i, j, k in itertools.product(range(len(dom)), repeat=3):
+                if t[t[i][j]][k] != t[i][t[j][k]]:
+                    raise InputError(f"associativity fails for {v.id!r} at "
+                                     f"({dom[i]!r}, {dom[j]!r}, {dom[k]!r})")
+    return tables
+
+
+def validate_join_family(bcs: Bcs, joins: JoinFamily) -> None:
+    """Check the join tables cover all variables and satisfy the semilattice
+    axioms (see `_join_tables`); raises an input error naming the failed axiom."""
+    _join_tables(bcs, joins)
 
 
 def is_join_closed(bcs: Bcs, joins: JoinFamily) -> ClosednessReport:
     """Check every constraint for closure under the supplied join operators."""
-    validate_join_family(bcs, joins)
-
-    def vjoin(var, a, b):
-        return joins[var][(a, b)]
-
-    return _scan_closure(enumerate(bcs.constraints), vjoin)
+    return _scan_closure(enumerate(bcs.constraints), _join_tables(bcs, joins))
 
 
 def joins_from_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[tuple[str, str], str]]:
     """Max operators of total orders, as join tables."""
-    vmax = _rank_max(_check_orders(bcs, orders))
-    return {v.id: {(a, b): vmax(v.id, a, b) for a, b in itertools.product(v.domain, v.domain)}
-            for v in bcs.variables}
+    tables = _check_orders(bcs, orders)
+    return {v.id: {(a, b): v.domain[k] for a, row in zip(v.domain, tables[v.id])
+                   for b, k in zip(v.domain, row)} for v in bcs.variables}
 
 
 def join_table_from_hasse(domain: Sequence[str],
@@ -194,9 +206,8 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
     for idx, c in enumerate(bcs.constraints):
         by_last[max(bcs.index(c.source), bcs.index(c.target))].append((idx, c))
 
-    ranks: dict[str, dict[str, int]] = {}
+    tables: dict[str, list[list[int]]] = {}
     chosen: dict[str, tuple[str, ...]] = {}
-    vmax = _rank_max(ranks)
 
     # stack[i] yields the untried orders of variable i in permutation order
     stack = [itertools.permutations(v.domain) for v in bcs.variables[:1]]
@@ -207,9 +218,9 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
         if perm is None:
             stack.pop()
             continue
-        ranks[var.id] = {value: r for r, value in enumerate(perm)}
+        tables[var.id] = _max_table(var.domain, perm)
         chosen[var.id] = perm
-        if _scan_closure(by_last[i], vmax).closed:
+        if _scan_closure(by_last[i], tables).closed:
             if i + 1 == n:
                 return dict(chosen)
             stack.append(itertools.permutations(bcs.variables[i + 1].domain))

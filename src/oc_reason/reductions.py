@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .assumptions import AssumptionSelection, build_assumption_bcs
 from .bcs import Bcs, Correspondence, Variable
-from .closedness import join_table_from_hasse
+from .closedness import _check_orders, _join_tables, join_table_from_hasse
 from .errors import InputError
 from .games import NormalFormGame
 
@@ -292,30 +292,24 @@ def random_semilattice(rng: random.Random, max_size: int) -> tuple[tuple[str, ..
     return ("e0",), {("e0", "e0"): "e0"}
 
 
-def _close_pairs_under_join(pairs: set[tuple[str, str]], jx, jy) -> set[tuple[str, str]]:
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.combinations(sorted(pairs), 2):
-            joined = (jx[(a, c)], jy[(b, d)])
-            if joined not in pairs:
-                pairs.add(joined)
-                changed = True
-    return pairs
-
-
 def _random_closed_bcs(rng: random.Random, variables: list[Variable],
-                       joins: dict, density: float) -> Bcs:
+                       tables: dict, density: float) -> Bcs:
     """Constrain each variable pair with probability `density` by a random
-    relation closed under the per-variable join tables `joins`."""
+    relation, saturated under the per-variable join tables over domain
+    positions `tables` until the join of every two of its pairs is in it."""
     constraints = []
     for a, b in itertools.combinations(variables, 2):
         if rng.random() >= density:
             continue
         bit = rng.choice((0.2, 0.35, 0.6))
-        pairs = {(x, y) for x in a.domain for y in b.domain if rng.random() < bit}
-        pairs = _close_pairs_under_join(pairs, joins[a.id], joins[b.id])
-        constraints.append(Correspondence.from_pairs(a.id, b.id, a.domain, b.domain, pairs))
+        pairs = {(x, y) for x in range(len(a.domain)) for y in range(len(b.domain))
+                 if rng.random() < bit}
+        tx, ty = tables[a.id], tables[b.id]
+        while new := {(tx[x1][x2], ty[y1][y2])
+                      for (x1, y1), (x2, y2) in itertools.combinations(pairs, 2)} - pairs:
+            pairs |= new
+        constraints.append(Correspondence.from_pairs(
+            a.id, b.id, a.domain, b.domain, ((a.domain[x], b.domain[y]) for x, y in pairs)))
     return Bcs(tuple(variables), tuple(constraints))
 
 
@@ -323,30 +317,23 @@ def random_join_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
                            density: float = 0.8) -> tuple[Bcs, dict]:
     """A random structure whose constraints are all closed under a random
     per-variable join family (relations are closed by saturation)."""
-    variables = []
-    joins = {}
+    variables, joins = [], {}
     for i in range(n_vars):
-        dom, table = random_semilattice(rng, max_domain)
-        name = f"X{i + 1}"
-        variables.append(Variable(name, dom))
-        joins[name] = table
-    return _random_closed_bcs(rng, variables, joins, density), joins
+        dom, joins[f"X{i + 1}"] = random_semilattice(rng, max_domain)
+        variables.append(Variable(f"X{i + 1}", dom))
+    tables = _join_tables(Bcs(tuple(variables), ()), joins)
+    return _random_closed_bcs(rng, variables, tables, density), joins
 
 
 def random_max_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
                           density: float = 0.8) -> tuple[Bcs, dict[str, tuple[str, ...]]]:
     """A random structure max-closed under random per-variable total orders."""
-    variables = []
-    orders = {}
+    variables, orders = [], {}
     for i in range(n_vars):
-        size = rng.randint(1, max_domain)
-        dom = tuple(f"v{j + 1}" for j in range(size))
-        name = f"X{i + 1}"
-        variables.append(Variable(name, dom))
+        dom = tuple(f"v{j + 1}" for j in range(rng.randint(1, max_domain)))
+        variables.append(Variable(f"X{i + 1}", dom))
         perm = list(dom)
         rng.shuffle(perm)
-        orders[name] = tuple(perm)
-    rank = {name: {v: i for i, v in enumerate(order)} for name, order in orders.items()}
-    maxima = {name: {(a, b): (a if r[a] >= r[b] else b) for a in r for b in r}
-              for name, r in rank.items()}
-    return _random_closed_bcs(rng, variables, maxima, density), orders
+        orders[f"X{i + 1}"] = tuple(perm)
+    tables = _check_orders(Bcs(tuple(variables), ()), orders)
+    return _random_closed_bcs(rng, variables, tables, density), orders

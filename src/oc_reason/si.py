@@ -58,8 +58,9 @@ class Preference:
     ``compare(a, b)`` says whether outcome a is weakly preferred to outcome
     b. It is tabulated one ordered variable pair at a time, the first time
     that pair is read: ``block(u, v)`` holds, for each outcome of u, a
-    bitmask over v's domain with bit j set iff that outcome is weakly
-    preferred to v's j-th outcome. A query that compares two variables thus
+    bitmask over v's domain with bit j set iff v's j-th outcome is weakly
+    preferred to that outcome: ``block(x, y)`` is the rows of the weak
+    claim that y improves on x. A query that compares two variables thus
     costs the comparisons of their blocks, not of every pair of outcomes
     across all variables. The strict relation is derived: a > b iff a >= b
     and not b >= a. Reflexivity is checked at construction.
@@ -85,23 +86,23 @@ class Preference:
             raise InputError(f"unknown outcome {key!r} in preference") from exc
 
     def block(self, u: str, v: str) -> tuple[int, ...]:
-        """The weak preference from u's outcomes to v's, one bitmask over
-        v's domain per outcome of u, tabulated on first use."""
+        """For each outcome of u, the outcomes of v weakly preferred to it,
+        as a bitmask over v's domain, tabulated on first use."""
         rows = self._blocks.get((u, v))
         if rows is None:
             compare, targets = self.compare, [(v, b) for b in self.domains[v]]
-            rows = tuple(sum(1 << j for j, b in enumerate(targets) if compare((u, a), b))
+            rows = tuple(sum(1 << j for j, b in enumerate(targets) if compare(b, (u, a)))
                          for a in self.domains[u])
             self._blocks[(u, v)] = rows
         return rows
 
     def geq(self, a: OutcomeKey, b: OutcomeKey) -> bool:
         (u, i), (v, j) = self._at(a), self._at(b)
-        return bool(self.block(u, v)[i] >> j & 1)
+        return bool(self.block(v, u)[j] >> i & 1)
 
     def gt(self, a: OutcomeKey, b: OutcomeKey) -> bool:
         (u, i), (v, j) = self._at(a), self._at(b)
-        return bool(self.block(u, v)[i] >> j & 1) and not self.block(v, u)[j] >> i & 1
+        return bool(self.block(v, u)[j] >> i & 1) and not self.block(u, v)[i] >> j & 1
 
     @classmethod
     def from_relation(cls, domains: Mapping[str, tuple[str, ...]],
@@ -176,17 +177,17 @@ def player_preference(games: Sequence[NormalFormGame], player: int) -> Preferenc
 
 def improvement_oc(x: str, y: str, pref: Preference, strict: bool) -> Correspondence:
     """The improvement claim as a correspondence: each outcome of x maps to
-    the outcomes of y (weakly or strictly) preferred to it. It is read from
-    the preference's (y, x) block, and for the strict claim also from its
-    (x, y) block."""
+    the outcomes of y (weakly or strictly) preferred to it. The weak claim
+    is the preference's (x, y) block; the strict one also excludes the
+    transpose of its (y, x) block."""
     for var in (x, y):
         if var not in pref.domains:
             raise InputError(f"unknown variable {var!r} in preference")
     dx, dy = pref.domains[x], pref.domains[y]
-    weak = inverse(Correspondence(y, x, dy, dx, pref.block(y, x)))
+    weak = Correspondence(x, y, dx, dy, pref.block(x, y))
     if not strict:
         return weak
-    return intersect(weak, Correspondence(x, y, dx, dy, pref.block(x, y)).complement())
+    return intersect(weak, inverse(Correspondence(y, x, dy, dx, pref.block(y, x))).complement())
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import pytest
 from oc_reason import (
     AssumptionSelection,
     Bcs,
+    ClosednessReport,
+    ClosednessWitness,
     Correspondence,
     InputError,
     NormalFormGame,
@@ -22,6 +24,7 @@ from oc_reason import (
     montanari_instance,
     orders_for_assumptions,
     random_bcs,
+    random_join_closed_bcs,
     random_max_closed_bcs,
     random_semilattice,
     search_max_orders,
@@ -170,6 +173,71 @@ class TestJoinClosed:
         assert sum("associativity" in m for m in messages) >= 500
 
 
+class TestPositionTables:
+    """The scan over join tables of domain positions against the label-level
+    scan it replaced, reports and witnesses included."""
+
+    def test_reports_equal_the_label_scan(self):
+        rng = random.Random(48)
+        reports = []
+        for k in range(3000):
+            kind = k % 3
+            if kind == 0:
+                bcs = random_bcs(rng, rng.randint(1, 4), 5)
+            elif kind == 1:
+                bcs, joins = random_join_closed_bcs(rng, rng.randint(2, 4), 5)
+                bcs = with_one_bit_flipped(rng, bcs)
+                got = outcome(is_join_closed, bcs, joins)
+                assert got == outcome(join_closed_reference, bcs, joins)
+                reports.append(got)
+            else:
+                bcs = with_self_loop(rng, random_bcs(rng, rng.randint(1, 4), 5))
+            orders = {v.id: tuple(rng.sample(v.domain, len(v.domain))) for v in bcs.variables}
+            got = outcome(is_max_closed, bcs, orders)
+            assert got == outcome(max_closed_reference, bcs, orders)
+            reports.append(got)
+            joins = joins_from_orders(bcs, orders)
+            assert joins == joins_from_orders_reference(bcs, orders)
+            assert outcome(is_join_closed, bcs, joins) == got
+        violated = [r for r in reports if not r.closed]
+        assert len(violated) >= 1000 and len(reports) - len(violated) >= 1000
+        # witnesses on self-loops, whose two ends share one table
+        assert sum(r.witness.source == r.witness.target for r in violated) >= 100
+
+    def test_order_errors_equal_the_rank_check(self):
+        bcs = random_bcs(random.Random(49), 3, 4)
+        dom = bcs.variables[0].domain
+        for orders in ({}, {bcs.variables[0].id: dom},
+                       {v.id: v.domain[:-1] for v in bcs.variables},
+                       {v.id: v.domain + ("v9",) for v in bcs.variables},
+                       {v.id: v.domain[:1] * len(v.domain) for v in bcs.variables}):
+            got = outcome(is_max_closed, bcs, orders)
+            assert isinstance(got, str)
+            assert got == outcome(max_closed_reference, bcs, orders)
+            assert outcome(joins_from_orders, bcs, orders) == got
+
+    def test_unhashable_join_value_leaves_the_domain(self):
+        bcs = Bcs.create([("X", DOM2)])
+        table = {(a, b): max(a, b) for a in DOM2 for b in DOM2}
+        table[("x1", "x2")] = ["x2"]
+        message = "join table for 'X' leaves the domain at ('x1', 'x2')"
+        assert outcome(validate_join_family, bcs, {"X": table}) == message
+        assert outcome(validate_join_reference, bcs, {"X": table}) == message
+
+    def test_search_equals_the_rank_search(self):
+        rng = random.Random(50)
+        found = []
+        for _ in range(400):
+            bcs = random_bcs(rng, rng.randint(2, 4), 4)
+            if rng.random() < 0.3:
+                bcs = with_self_loop(rng, bcs)
+            got = search_max_orders(bcs)
+            assert got == search_max_orders_reference(bcs)
+            found.append(got)
+        assert sum(f is None for f in found) >= 30
+        assert sum(f is not None for f in found) >= 300
+
+
 class TestHasseCompilation:
     def test_appendix_w_lattice_joins(self):
         _, joins = join_incompleteness_instance()
@@ -279,6 +347,112 @@ def validate_join_reference(bcs, joins):
         for a, b, c in itertools.product(dom, repeat=3):
             if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                 raise InputError(f"associativity fails for {v.id!r} at ({a!r}, {b!r}, {c!r})")
+
+
+def check_orders_reference(bcs, orders):
+    """The per-variable ranks that `closedness._check_orders` returned
+    before it built max tables, with the same checks."""
+    ranks = {}
+    for v in bcs.variables:
+        if v.id not in orders:
+            raise InputError(f"no order supplied for variable {v.id!r}")
+        order = tuple(orders[v.id])
+        if len(order) != len(v.domain) or set(order) != set(v.domain):
+            raise InputError(f"order for {v.id!r} is not a permutation of its domain")
+        ranks[v.id] = {value: i for i, value in enumerate(order)}
+    return ranks
+
+
+def rank_max_reference(ranks):
+    """The max operator of per-variable ranks, as the label scan's combine
+    function; it reads `ranks` when called, not when made."""
+    def vmax(var, a, b):
+        return a if ranks[var][a] >= ranks[var][b] else b
+    return vmax
+
+
+def scan_closure_reference(constraints, combine):
+    """The label-level scan that `closedness._scan_closure` replaced:
+    `combine(var_id, a, b)` returns the least upper bound, and each join is
+    looked up again by label."""
+    for idx, c in constraints:
+        pairs = c.pairs()
+        for a in range(len(pairs)):
+            for b in range(a + 1, len(pairs)):
+                (x1, y1), (x2, y2) = pairs[a], pairs[b]
+                top = (combine(c.source, x1, x2), combine(c.target, y1, y2))
+                if not c.contains(*top):
+                    return ClosednessReport(False, ClosednessWitness(
+                        idx, c.source, c.target, pairs[a], pairs[b], top))
+    return ClosednessReport(True)
+
+
+def max_closed_reference(bcs, orders):
+    vmax = rank_max_reference(check_orders_reference(bcs, orders))
+    return scan_closure_reference(enumerate(bcs.constraints), vmax)
+
+
+def join_closed_reference(bcs, joins):
+    validate_join_reference(bcs, joins)
+    return scan_closure_reference(enumerate(bcs.constraints),
+                                  lambda var, a, b: joins[var][(a, b)])
+
+
+def joins_from_orders_reference(bcs, orders):
+    vmax = rank_max_reference(check_orders_reference(bcs, orders))
+    return {v.id: {(a, b): vmax(v.id, a, b) for a, b in itertools.product(v.domain, v.domain)}
+            for v in bcs.variables}
+
+
+def search_max_orders_reference(bcs):
+    """The order search over label permutations, with a ranks dict that the
+    shared combine function reads as each permutation replaces an entry."""
+    n = len(bcs.variables)
+    by_last = {i: [] for i in range(n)}
+    for idx, c in enumerate(bcs.constraints):
+        by_last[max(bcs.index(c.source), bcs.index(c.target))].append((idx, c))
+    ranks, chosen = {}, {}
+    vmax = rank_max_reference(ranks)
+    stack = [itertools.permutations(v.domain) for v in bcs.variables[:1]]
+    while stack:
+        i = len(stack) - 1
+        var = bcs.variables[i]
+        perm = next(stack[i], None)
+        if perm is None:
+            stack.pop()
+            continue
+        ranks[var.id] = {value: r for r, value in enumerate(perm)}
+        chosen[var.id] = perm
+        if scan_closure_reference(by_last[i], vmax).closed:
+            if i + 1 == n:
+                return dict(chosen)
+            stack.append(itertools.permutations(bcs.variables[i + 1].domain))
+    return {} if n == 0 else None
+
+
+def with_one_bit_flipped(rng, bcs):
+    """The structure with one random bit of one random constraint flipped."""
+    if not bcs.constraints:
+        return bcs
+    constraints = list(bcs.constraints)
+    k = rng.randrange(len(constraints))
+    c = constraints[k]
+    rows = list(c.rows)
+    rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(len(c.target_domain))
+    constraints[k] = Correspondence(c.source, c.target, c.source_domain, c.target_domain,
+                                    tuple(rows))
+    return Bcs(bcs.variables, tuple(constraints))
+
+
+def with_self_loop(rng, bcs):
+    """The structure with a random self-loop constraint inserted at a random
+    place."""
+    v = rng.choice(bcs.variables)
+    loop = Correspondence(v.id, v.id, v.domain, v.domain,
+                          tuple(rng.getrandbits(len(v.domain)) for _ in v.domain))
+    constraints = list(bcs.constraints)
+    constraints.insert(rng.randrange(len(constraints) + 1), loop)
+    return Bcs(bcs.variables, tuple(constraints))
 
 
 def random_edge_list(rng):

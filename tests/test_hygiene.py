@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports and no never-read locals in the package
-and in its tests, and no private helper that the package never reads.
+and in its tests, no private helper that the package never reads, and no
+name in the benchmark tracer's list that the package no longer defines.
 
 The scan is a plain AST walk, so it needs no linter. A name counts as read
 when it is loaded anywhere in its module (imports) or anywhere in its
@@ -11,6 +12,7 @@ count, so a helper kept only for them is a fork of the code in use.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -149,3 +151,16 @@ def test_the_scan_finds_dead_private_helpers():
             "helper = a._by_attribute\n"),
     }
     assert dead_private_helpers(trees) == [("a.py", 3, "_dead"), ("a.py", 5, "_Unread")]
+
+
+def test_traced_functions_exist():
+    # perfbench/tracing.py rebinds each (module, function) of TRACED by name;
+    # its list is read as a literal, so the benchmark is not imported
+    source = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    assert len(traced) >= 10
+    for module_name, function_name in traced:
+        module = importlib.import_module(f"oc_reason.{module_name}")
+        assert callable(getattr(module, function_name, None)), (module_name, function_name)

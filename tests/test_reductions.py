@@ -1,5 +1,6 @@
 """Hardness-instance generators and satisfiability-preserving constructions."""
 
+import json
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from oc_reason import (
     random_join_closed_bcs,
     random_max_closed_bcs,
     random_semilattice,
+    serialize,
     validate_join_family,
 )
 
@@ -239,6 +241,37 @@ class TestRandomGenerators:
         assert got_dom == tuple(dom.split())
         assert list(table) == [(a, b) for a in got_dom for b in got_dom]
         assert " ".join(table.values()) == joins
+        # the draws stay in step: the next random bits are those that followed
+        assert rng.getrandbits(32) == next_bits
+
+    @pytest.mark.parametrize("seed, structure, orders, next_bits", [
+        (5, '{"variables":[{"id":"X1","domain":["v1","v2","v3"]},'
+            '{"id":"X2","domain":["v1","v2","v3"]},{"id":"X3","domain":["v1","v2"]}],'
+            '"constraints":[{"x":"X1","y":"X2","pairs":[["v1","v1"],["v2","v3"]]},'
+            '{"x":"X1","y":"X3","pairs":[["v1","v2"],["v3","v1"]]},'
+            '{"x":"X2","y":"X3","pairs":[["v1","v1"],["v1","v2"],["v2","v1"],["v3","v1"]]}]}',
+         "v1 v3 v2 | v2 v1 v3 | v2 v1", 2687490721),
+        (20, '{"variables":[{"id":"X1","domain":["v1","v2","v3"]},'
+             '{"id":"X2","domain":["v1","v2"]},{"id":"X3","domain":["v1","v2"]}],'
+             '"constraints":[{"x":"X1","y":"X2","pairs":[["v1","v1"],["v1","v2"],["v2","v1"],'
+             '["v3","v1"],["v3","v2"]]},'
+             '{"x":"X1","y":"X3","pairs":[["v1","v1"],["v1","v2"],["v3","v1"],["v3","v2"]]},'
+             '{"x":"X2","y":"X3","pairs":[["v1","v2"]]}]}',
+         "v2 v1 v3 | v2 v1 | v2 v1", 1310237539),
+        (30, '{"variables":[{"id":"X1","domain":["v1","v2","v3"]},'
+             '{"id":"X2","domain":["v1","v2","v3"]},{"id":"X3","domain":["v1","v2"]}],'
+             '"constraints":[{"x":"X1","y":"X2","pairs":[["v1","v1"],["v1","v2"],["v1","v3"],'
+             '["v2","v1"],["v2","v3"]]},'
+             '{"x":"X1","y":"X3","pairs":[["v2","v1"],["v2","v2"],["v3","v1"]]},'
+             '{"x":"X2","y":"X3","pairs":[["v3","v1"]]}]}',
+         "v3 v1 v2 | v2 v1 v3 | v2 v1", 1327978351),
+    ], ids=("seed5", "seed20", "seed30"))
+    def test_max_closed_draws_are_pinned(self, seed, structure, orders, next_bits):
+        rng = random.Random(seed)
+        bcs, got_orders = random_max_closed_bcs(rng, 3, 3)
+        assert serialize.bcs_to_json(bcs) == json.loads(structure)
+        assert " | ".join(" ".join(o) for o in got_orders.values()) == orders
+        assert list(got_orders) == ["X1", "X2", "X3"]
         # the draws stay in step: the next random bits are those that followed
         assert rng.getrandbits(32) == next_bits
 

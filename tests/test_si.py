@@ -30,6 +30,7 @@ from oc_reason import (
     refuted,
     serialize,
 )
+from oc_reason import si
 from oc_reason.cli import main
 from oc_reason.fixtures import single_outcome_game
 from conftest import coloring_bcs, planted_bcs, random_game
@@ -195,7 +196,7 @@ class TestQueryScopedPreferences:
 
 def test_check_si_compares_only_the_queried_games(tmp_path, monkeypatch):
     # reflexivity costs one comparison per outcome; then the weak claim reads
-    # block (Gp, G) and the strict claim also block (G, Gp)
+    # block (G, Gp) and the strict claim also block (Gp, G)
     rng = random.Random(72)
     inst = csp_to_si_games(random_bcs(rng, 14, 3, density=0.4))
     assert len(inst.games) >= 15
@@ -243,6 +244,21 @@ class TestImprovementOc:
         pref = pareto_preference(list(trio))
         with pytest.raises(InputError):
             improvement_oc("Ga", "Nope", pref, strict=False)
+
+    def test_only_the_strict_claim_transposes(self, trio, monkeypatch):
+        # the weak claim is the (x, y) block as tabulated; the strict claim
+        # transposes the (y, x) block once
+        calls = []
+        plain = si.inverse
+        monkeypatch.setattr(si, "inverse", lambda phi: calls.append(phi) or plain(phi))
+        pref = pareto_preference(list(trio))
+        names = [g.name for g in trio]
+        for x in names:
+            for y in names:
+                improvement_oc(x, y, pref, strict=False)
+        assert calls == []
+        improvement_oc("Ga", "Gc", pref, strict=True)
+        assert len(calls) == 1
 
 
 def trio_bcs(trio):
