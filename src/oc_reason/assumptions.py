@@ -6,6 +6,10 @@ self-loops, and the decreasing-risk correspondence between labeled 2x2
 coordination pairs. `build_assumption_bcs` assembles any selection of them
 into a binary constraint structure with one variable per game.
 
+Dominance, isomorphism and decreasing risk are per-player products: each
+action maps to a set of the other game's actions, and an outcome to the
+product of its actions' images. `_product_oc` builds all three.
+
 Each family's constraints are derived in `_derive_constraints` alone, which
 `closedness` also runs to learn which family generated each constraint; the
 `_Searches` memo there derives reduction flags and isomorphisms once per call.
@@ -14,6 +18,7 @@ Each family's constraints are derived in `_derive_constraints` alone, which
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,20 +73,32 @@ class AssumptionSelection:
             raise InputError("at least one assumption must be selected")
 
 
+def _product_oc(g1: NormalFormGame, g2: NormalFormGame, images) -> Correspondence:
+    """The correspondence taking each g1 profile to the product of its
+    per-player images, ``images[i][a]`` listing the g2 actions of player i's
+    action a: its row is the OR of ``1 << k`` over that product, k being a
+    target's row-major index."""
+    strides = [math.prod(g2.shape[i + 1:]) for i in range(g2.n_players)]
+    rows = []
+    for profile in g1.profiles():
+        row = 0
+        for target in itertools.product(*(images[i][a] for i, a in enumerate(profile))):
+            row |= 1 << sum(b * s for b, s in zip(target, strides))
+        rows.append(row)
+    return Correspondence(g1.name, g2.name, g1.outcome_labels(), g2.outcome_labels(), tuple(rows))
+
+
 def oc_dominance(game: NormalFormGame) -> tuple[NormalFormGame, Correspondence]:
     """One maximal round of strict-dominance elimination plus the induced
     correspondence: surviving outcomes map to themselves, outcomes using an
     eliminated action map to nothing. Games without dominated actions get the
     identity correspondence on themselves unchanged."""
-    sub, eliminated = one_round_reduction(game)
-    source_dom = game.outcome_labels()
-    if all(not e for e in eliminated):
-        return game, Correspondence.identity(game.name, source_dom)
+    sub, _ = one_round_reduction(game)
+    if sub is game:
+        return game, Correspondence.identity(game.name, game.outcome_labels())
     sub = NormalFormGame(game.name + "_reduced", sub.actions, sub.utilities)
-    target_dom = sub.outcome_labels()
-    survivors = set(target_dom)
-    pairs = [(o, o) for o in source_dom if o in survivors]
-    return sub, Correspondence.from_pairs(game.name, sub.name, source_dom, target_dom, pairs)
+    return sub, _product_oc(game, sub, [[(kept.index(a),) if a in kept else () for a in acts]
+                                        for acts, kept in zip(game.actions, sub.actions)])
 
 
 def oc_isomorphism(g1: NormalFormGame, g2: NormalFormGame) -> Correspondence | None:
@@ -103,17 +120,8 @@ def _oc_isomorphism(g1: NormalFormGame, g2: NormalFormGame,
     have checked both games for dominated strategies themselves."""
     if not isos:
         return None
-    pairs = []
-    for profile in g1.profiles():
-        image_sets = [
-            sorted({iso.maps[i][profile[i]] for iso in isos})
-            for i in range(g1.n_players)
-        ]
-        src = g1.profile_label(profile)
-        for target in itertools.product(*image_sets):
-            pairs.append((src, g2.profile_label(target)))
-    return Correspondence.from_pairs(g1.name, g2.name, g1.outcome_labels(),
-                                     g2.outcome_labels(), pairs)
+    return _product_oc(g1, g2, [[{iso.maps[i][a] for iso in isos} for a in range(len(acts))]
+                                for i, acts in enumerate(g1.actions)])
 
 
 def oc_nash(game: NormalFormGame) -> Correspondence:
@@ -195,19 +203,7 @@ def oc_decreasing_risk(g1: NormalFormGame, g2: NormalFormGame,
     equilibria, Pareto domination, the eight payoff inequalities) are checked
     and the failed inequality is named on error."""
     (t1, s1), (t2, s2) = _risk_preconditions(g1, g2, pair)
-    per_player = []
-    for i in range(2):
-        per_player.append({
-            t1[i]: (t2[i],),
-            s1[i]: (t2[i], s2[i]),
-        })
-    pairs = []
-    for profile in g1.profiles():
-        src = g1.profile_label(profile)
-        for target in itertools.product(*(per_player[i][profile[i]] for i in range(2))):
-            pairs.append((src, g2.profile_label(target)))
-    return Correspondence.from_pairs(g1.name, g2.name, g1.outcome_labels(),
-                                     g2.outcome_labels(), pairs)
+    return _product_oc(g1, g2, [{t1[i]: (t2[i],), s1[i]: (t2[i], s2[i])} for i in range(2)])
 
 
 def discover_risk_labelings(g1: NormalFormGame, g2: NormalFormGame) -> list[DecreasingRiskPair]:

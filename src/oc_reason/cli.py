@@ -102,11 +102,17 @@ def _warn_uncertified(report, mode: DecisionMode, certified: bool) -> None:
         print(f"warning: {msg}")
 
 
-def cmd_check_si(args, report) -> int:
+def _si_inputs(args):
+    """The structure, preference, mode and certificates of an SI command,
+    read in that order."""
     bcs, games = serialize.load_bcs(args.input)
     pref = _load_pref(args.pref, bcs, games)
     mode = _parse_mode(args.mode)
-    orders, joins = _load_certificates(args, bcs)
+    return (bcs, pref, mode, *_load_certificates(args, bcs))
+
+
+def cmd_check_si(args, report) -> int:
+    bcs, pref, mode, orders, joins = _si_inputs(args)
     verdict = decide_si(bcs, args.x, args.y, pref, strict=args.strict,
                         mode=mode, orders=orders, joins=joins)
     report["verdict"] = "yes" if verdict.yes else "no"
@@ -124,10 +130,7 @@ def cmd_check_si(args, report) -> int:
 
 
 def cmd_find_si(args, report) -> int:
-    bcs, games = serialize.load_bcs(args.input)
-    pref = _load_pref(args.pref, bcs, games)
-    mode = _parse_mode(args.mode)
-    orders, joins = _load_certificates(args, bcs)
+    bcs, pref, mode, orders, joins = _si_inputs(args)
     # verified here once; the searches below then need no certificate
     certified = verify_certificate(bcs, mode, orders, joins)
     if args.on:
@@ -291,45 +294,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="enumerate satisfying assignments (exact oracle)")
     p.add_argument("input")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None,
+                   help="stop after this many assignments (at least 1)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("check-si", help="decide whether Y safely improves on X")
+    si = argparse.ArgumentParser(add_help=False)
+    si.add_argument("--pref", required=True, help="pareto | player:N | @file.json")
+    si.add_argument("--strict", action="store_true", help="ask for a strict improvement")
+    si.add_argument("--mode", default="exact", help="exact | propagation | refutation")
+    si.add_argument("--orders", metavar="PATH", help="max-closedness certificate to verify")
+    si.add_argument("--joins", metavar="PATH", help="join-closedness certificate to verify")
+
+    p = sub.add_parser("check-si", parents=[si], help="decide whether Y safely improves on X")
     p.add_argument("input")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--pref", required=True, help="pareto | player:N | @file.json")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--mode", default="exact", help="exact | propagation | refutation")
-    p.add_argument("--orders", metavar="PATH", help="max-closedness certificate to verify")
-    p.add_argument("--joins", metavar="PATH", help="join-closedness certificate to verify")
     p.set_defaults(func=cmd_check_si)
 
-    p = sub.add_parser("find-si", help="list safe-improvement pairs")
+    p = sub.add_parser("find-si", parents=[si], help="list safe-improvement pairs")
     p.add_argument("input")
     p.add_argument("--on", metavar="X", help="only improvements on this variable")
-    p.add_argument("--pref", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--mode", default="exact")
-    p.add_argument("--orders", metavar="PATH")
-    p.add_argument("--joins", metavar="PATH")
     p.set_defaults(func=cmd_find_si)
 
     p = sub.add_parser("closedness", help="verify or search closedness certificates")
     p.add_argument("input")
-    p.add_argument("--orders", metavar="PATH")
-    p.add_argument("--joins", metavar="PATH")
+    p.add_argument("--orders", metavar="PATH", help="max-closedness certificate to verify")
+    p.add_argument("--joins", metavar="PATH", help="join-closedness certificate to verify")
     p.add_argument("--search", action="store_true", help="brute-force search for orders")
     p.add_argument("--dump", metavar="PATH", help="write found orders here")
     p.set_defaults(func=cmd_closedness)
 
     p = sub.add_parser("assume", help="build an assumption BCS from game files")
     p.add_argument("games", nargs="+", metavar="GAME.json")
-    p.add_argument("--out", default="assumptions_bcs.json")
+    p.add_argument("--out", default="assumptions_bcs.json", help="write the BCS file here")
     p.add_argument("--selection", metavar="PATH", help="selection JSON file")
-    p.add_argument("--dominance", action="store_true")
-    p.add_argument("--isomorphism", action="store_true")
-    p.add_argument("--nash", action="store_true")
+    p.add_argument("--dominance", action="store_true",
+                   help="strict-dominance elimination, when the reduction is listed")
+    p.add_argument("--isomorphism", action="store_true",
+                   help="isomorphic play of fully reduced isomorphic games")
+    p.add_argument("--nash", action="store_true", help="play stays in the pure Nash equilibria")
     p.add_argument("--discover-risk", action="store_true",
                    help="list all valid decreasing-risk labelings and exit")
     p.set_defaults(func=cmd_assume)
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit generator instances as JSON files")
     p.add_argument("generator",
                    choices=["montanari", "join-incompleteness", "csp-to-si", "random-csp"])
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", default=".", help="directory for the written files")
     p.add_argument("--source", metavar="PATH", help="source BCS for csp-to-si")
     p.add_argument("--perturb", action="store_true",
                    help="pairwise-incomparable fallback payoffs (csp-to-si)")

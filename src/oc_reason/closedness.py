@@ -14,10 +14,15 @@ to join tables, and automorphism orbits are found, by the one bitmask
 closure `bcs._closure`. Order construction reruns `build_assumption_bcs`'s
 derivation, `assumptions._derive_constraints`, with one
 `assumptions._Searches` memo per call, to learn which assumption generated
-each constraint."""
+each constraint. It then orders the games in one breadth-first pass over
+the isomorphism edges: from the decreasing-risk games first, then from each
+still unordered fully reduced game in list order, each reached game taking
+its parent's order carried across an isomorphism. Games with dominated
+actions come last, from their full reductions' orders."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -248,33 +253,24 @@ def _orbit_classes(game: NormalFormGame,
             for p in game.profiles()}
 
 
-def _class_blocks(game: NormalFormGame, searches: asm._Searches) -> list[list[tuple[int, ...]]]:
+def _own_class_order(game: NormalFormGame, searches: asm._Searches) -> tuple[str, ...]:
     """Outcome equivalence classes, each sorted by label, classes sorted by
     their lexicographically smallest member label."""
-    keys = _orbit_classes(game, searches)
-    blocks: dict[tuple[int, ...], list] = {}
-    for profile, key in keys.items():
-        blocks.setdefault(key, []).append(profile)
-    out = []
-    for members in blocks.values():
-        members.sort(key=game.profile_label)
-        out.append(members)
-    out.sort(key=lambda ms: game.profile_label(ms[0]))
-    return out
-
-
-def _own_class_order(game: NormalFormGame, searches: asm._Searches) -> tuple[str, ...]:
-    return tuple(game.profile_label(p) for block in _class_blocks(game, searches) for p in block)
+    blocks: dict[tuple[int, ...], list[str]] = {}
+    for profile, key in _orbit_classes(game, searches).items():
+        blocks.setdefault(key, []).append(game.profile_label(profile))
+    return tuple(label for block in sorted(map(sorted, blocks.values())) for label in block)
 
 
 def _transport_order(src: NormalFormGame, dst: NormalFormGame,
                      src_order: Sequence[str], searches: asm._Searches) -> tuple[str, ...]:
     """Carry a class-contiguous outcome order across an isomorphism: the class
-    sequence is mapped through (any) isomorphism, members sorted by label."""
+    sequence is mapped through (any) isomorphism, members sorted by label.
+    A class is a product of per-player orbits, and so is its image."""
     isos = searches.isomorphisms(src, dst)
     if not isos:
         raise InputError(f"no isomorphism from {src.name!r} to {dst.name!r}")
-    iso = isos[0]
+    maps = isos[0].maps
     keys = _orbit_classes(src, searches)
     seen: set[tuple[int, ...]] = set()
     out: list[str] = []
@@ -283,9 +279,9 @@ def _transport_order(src: NormalFormGame, dst: NormalFormGame,
         if key in seen:
             continue
         seen.add(key)
-        members = sorted({iso.apply(p) for p, k in keys.items() if k == key},
-                         key=dst.profile_label)
-        out.extend(dst.profile_label(p) for p in members)
+        images = [[image for a, image in enumerate(m) if orbit >> a & 1]
+                  for m, orbit in zip(maps, key)]
+        out.extend(sorted(dst.profile_label(q) for q in itertools.product(*images)))
     return tuple(out)
 
 
@@ -350,13 +346,12 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
     all eliminated outcomes placed below under a label-lexicographic
     tie-break.
     """
-    names = {g.name for g in games}
-    if len(names) != len(games):
+    by_name = {g.name: g for g in games}
+    if len(by_name) != len(games):
         raise InputError("duplicate game names")
     for v in bcs.variables:
-        if v.id not in names:
+        if v.id not in by_name:
             raise InputError(f"structure variable {v.id!r} is not one of the games")
-    by_name = {g.name: g for g in games}
     for v in bcs.variables:
         if v.domain != by_name[v.id].outcome_labels():
             raise InputError(f"domain of {v.id!r} does not match the game's outcomes")
@@ -367,48 +362,31 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
     orders: dict[str, tuple[str, ...]] = dict(risk_orders)
     reduced = [g for g in games if searches.reduced(g)]
 
-    neighbors: dict[str, set[str]] = {g.name: set() for g in reduced}
-    for a, b in iso_edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    # each game's isomorphic neighbors, in list order
+    edges = set(iso_edges) | {(b, a) for a, b in iso_edges}
+    neighbors = {g.name: [h for h in reduced if (g.name, h.name) in edges] for g in reduced}
+    queue = collections.deque(g for g in reduced if g.name in orders)
 
-    listed = [g.name for g in games]
-    for g in reduced:
-        if g.name in orders:
-            continue
-        component = {g.name}
-        frontier = [g.name]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in neighbors[cur]:
-                if nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-        seeds = sorted((n for n in component if n in orders), key=listed.index)
-        if not seeds:
-            rep = min(component, key=listed.index)
-            orders[rep] = _own_class_order(by_name[rep], searches)
-            seeds = [rep]
-        queue = list(seeds)
+    def spread():
         while queue:
-            cur = queue.pop(0)
-            for nxt in sorted(neighbors[cur], key=listed.index):
-                if nxt not in orders:
-                    orders[nxt] = _transport_order(by_name[cur], by_name[nxt], orders[cur],
-                                                   searches)
+            cur = queue.popleft()
+            for nxt in neighbors[cur.name]:
+                if nxt.name not in orders:
+                    orders[nxt.name] = _transport_order(cur, nxt, orders[cur.name], searches)
                     queue.append(nxt)
 
+    spread()
+    for g in reduced:
+        if g.name not in orders:
+            orders[g.name] = _own_class_order(g, searches)
+            queue.append(g)
+            spread()
+
     for g in games:
-        if g.name in orders:
-            continue
-        final = fully_reduce(g).final
-        base: tuple[str, ...] = ()
-        for other in games:
-            if other.name != g.name and other.same_payoffs(final) and other.name in orders:
-                base = orders[other.name]
-                break
-        kept = set(base)
-        below = sorted(l for l in g.outcome_labels() if l not in kept)
-        orders[g.name] = tuple(below) + base
+        if g.name not in orders:
+            final = fully_reduce(g).final
+            base = next((orders[h.name] for h in games
+                         if h.name in orders and h.same_payoffs(final)), ())
+            orders[g.name] = tuple(sorted(set(g.outcome_labels()) - set(base))) + base
 
     return orders

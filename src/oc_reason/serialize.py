@@ -134,10 +134,15 @@ def game_from_json(obj: Mapping, name: str | None = None) -> NormalFormGame:
     table = {}
     for label, vector in _object(utilities, "'utilities'").items():
         table[tuple(label.split(","))] = [as_fraction(v) for v in _list(vector, "payoff vector")]
+    # a game name becomes a variable id and a key of a BCS file's "games"
+    # object, which JSON makes a string
+    for given in (name, obj.get("name")):
+        if given is not None and not (isinstance(given, str) and given):
+            raise InputError(f"game name must be a non-empty string, got {given!r}")
     game_name = name or obj.get("name")
     if not game_name:
         raise InputError("game needs a name (provide one or add a 'name' key)")
-    return NormalFormGame.create(_label(game_name, "game name"), actions, table)
+    return NormalFormGame.create(game_name, actions, table)
 
 
 def load_game(path: str | Path) -> NormalFormGame:

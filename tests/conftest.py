@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from oc_reason import Bcs, Correspondence, NormalFormGame
+from oc_reason.games import one_round_reduction
 from oc_reason.fixtures import (
     chicken_trio,
     matching_pennies,
@@ -61,6 +62,51 @@ def affine_copy(rng: random.Random, game: NormalFormGame, name: str) -> NormalFo
              for p in game.profiles()}
     actions = tuple(tuple(a + "x" for a in acts) for acts in game.actions)
     return NormalFormGame(name, actions, table)
+
+
+def small_game(rng: random.Random, name: str, players: int) -> NormalFormGame:
+    """An n-player game with 1 to 3 actions per player and payoffs in 0..2,
+    so ties, dominated actions and automorphisms are common."""
+    actions = tuple(tuple(f"p{i}a{k}" for k in range(rng.randint(1, 3)))
+                    for i in range(players))
+    return NormalFormGame(name, actions, {
+        p: tuple(Fraction(rng.randint(0, 2)) for _ in range(players))
+        for p in itertools.product(*(range(len(a)) for a in actions))})
+
+
+def permuted_copy(rng: random.Random, game: NormalFormGame, name: str) -> NormalFormGame:
+    """An isomorphic copy: each player's actions renamed and permuted, and
+    their payoffs mapped by a random positive affine map."""
+    perms = [rng.sample(range(len(a)), len(a)) for a in game.actions]
+    maps = [(Fraction(rng.randint(1, 3), rng.randint(1, 2)), rng.randint(-3, 3))
+            for _ in game.actions]
+    actions = tuple(tuple(a + "y" for a in acts) for acts in game.actions)
+    return NormalFormGame(name, actions, {
+        tuple(perm[a] for perm, a in zip(perms, p)):
+            tuple(scale * u + shift for (scale, shift), u in zip(maps, vector))
+        for p, vector in game.utilities.items()})
+
+
+def small_game_set(rng: random.Random, players: int, stag_pair=None) -> list[NormalFormGame]:
+    """A small game, permuted copies of it, its named one-round reduction
+    and an unrelated game, each drawn with some probability; with a stag-hunt
+    pair, sometimes that pair and a permuted copy of one of its games too,
+    inserted at random positions."""
+    games = [small_game(rng, "A", players)]
+    for name in ("B", "C"):
+        if rng.random() < 0.6:
+            games.append(permuted_copy(rng, rng.choice(games), name))
+    sub, eliminated = one_round_reduction(games[0])
+    if any(eliminated) and rng.random() < 0.7:
+        games.append(NormalFormGame("R", sub.actions, sub.utilities))
+    if rng.random() < 0.4:
+        games.append(small_game(rng, "D", players))
+    if stag_pair is not None and rng.random() < 0.5:
+        left, right, _ = stag_pair
+        copy = permuted_copy(rng, rng.choice((left, right)), "S")
+        for g in (left, right, copy):
+            games.insert(rng.randint(0, len(games)), g)
+    return games
 
 
 def with_dominated_row(rng: random.Random, game: NormalFormGame, name: str) -> NormalFormGame:

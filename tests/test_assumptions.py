@@ -7,6 +7,7 @@ import pytest
 
 from oc_reason import (
     AssumptionSelection,
+    Correspondence,
     DecreasingRiskPair,
     InputError,
     NormalFormGame,
@@ -21,8 +22,12 @@ from oc_reason import (
     oc_isomorphism,
     oc_nash,
     orders_for_assumptions,
+    serialize,
 )
-from conftest import affine_copy, random_game
+from oc_reason import assumptions as asm
+from oc_reason.fixtures import stag_hunt_pair
+from oc_reason.games import is_fully_reduced, one_round_reduction
+from conftest import affine_copy, random_game, small_game_set
 
 
 def images(oc):
@@ -220,3 +225,97 @@ def fullyreduced_pd(pd):
     from oc_reason import fully_reduce
     final = fully_reduce(pd).final
     return NormalFormGame("PDr", final.actions, dict(final.utilities))
+
+
+def dominance_reference(game):
+    """The label-pair builder that `oc_dominance` replaced."""
+    sub, eliminated = one_round_reduction(game)
+    source_dom = game.outcome_labels()
+    if all(not e for e in eliminated):
+        return game, Correspondence.identity(game.name, source_dom)
+    sub = NormalFormGame(game.name + "_reduced", sub.actions, sub.utilities)
+    target_dom = sub.outcome_labels()
+    survivors = set(target_dom)
+    pairs = [(o, o) for o in source_dom if o in survivors]
+    return sub, Correspondence.from_pairs(game.name, sub.name, source_dom, target_dom, pairs)
+
+
+def isomorphism_reference(g1, g2, isos):
+    """The label-pair builder that `_oc_isomorphism` replaced."""
+    if not isos:
+        return None
+    pairs = []
+    for profile in g1.profiles():
+        image_sets = [sorted({iso.maps[i][profile[i]] for iso in isos})
+                      for i in range(g1.n_players)]
+        src = g1.profile_label(profile)
+        for target in itertools.product(*image_sets):
+            pairs.append((src, g2.profile_label(target)))
+    return Correspondence.from_pairs(g1.name, g2.name, g1.outcome_labels(),
+                                     g2.outcome_labels(), pairs)
+
+
+def decreasing_risk_reference(g1, g2, pair):
+    """The label-pair builder that `oc_decreasing_risk` replaced."""
+    (t1, s1), (t2, s2) = asm._risk_preconditions(g1, g2, pair)
+    per_player = [{t1[i]: (t2[i],), s1[i]: (t2[i], s2[i])} for i in range(2)]
+    pairs = []
+    for profile in g1.profiles():
+        src = g1.profile_label(profile)
+        for target in itertools.product(*(per_player[i][profile[i]] for i in range(2))):
+            pairs.append((src, g2.profile_label(target)))
+    return Correspondence.from_pairs(g1.name, g2.name, g1.outcome_labels(),
+                                     g2.outcome_labels(), pairs)
+
+
+class TestProductBuilders:
+    """The three product families against the label-pair builders they
+    replaced, on seeded 2- and 3-player sets with ties, permuted affine
+    copies, named reductions and stag-hunt pairs."""
+
+    @pytest.fixture(scope="class")
+    def game_sets(self):
+        rng = random.Random(61)
+        return [small_game_set(rng, players, stag_hunt_pair())
+                for players in (2, 3) for _ in range(60)]
+
+    def test_families_equal_the_label_pair_builders(self, game_sets):
+        seen = {"eliminated": 0, "isomorphic": 0, "isomorphic 3-player": 0, "risk": 0}
+        for games in game_sets:
+            for g in games:
+                sub, oc = oc_dominance(g)
+                ref_sub, ref_oc = dominance_reference(g)
+                assert (sub is g) == (ref_sub is g)
+                assert (sub.name, sub.actions, sub.utilities, oc) == (
+                    ref_sub.name, ref_sub.actions, ref_sub.utilities, ref_oc)
+                seen["eliminated"] += sub is not g
+            for g1, g2 in itertools.product(games, repeat=2):
+                if is_fully_reduced(g1) and is_fully_reduced(g2):
+                    oc = oc_isomorphism(g1, g2)
+                    assert oc == isomorphism_reference(g1, g2, find_isomorphisms(g1, g2))
+                    seen["isomorphic"] += oc is not None
+                    seen["isomorphic 3-player"] += oc is not None and g1.n_players == 3
+                for labeling in discover_risk_labelings(g1, g2):
+                    assert oc_decreasing_risk(g1, g2, labeling) == \
+                        decreasing_risk_reference(g1, g2, labeling)
+                    seen["risk"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_structures_equal_the_label_pair_builders(self, game_sets, monkeypatch):
+        built = 0
+        for games in game_sets:
+            labelings = tuple(lab for g1, g2 in itertools.product(games, repeat=2)
+                              for lab in discover_risk_labelings(g1, g2))
+            for selection in (
+                    AssumptionSelection(dominance=True, isomorphism=True, nash=True,
+                                        decreasing_risk=labelings),
+                    AssumptionSelection(isomorphism=True),
+                    AssumptionSelection(dominance=True, nash=True)):
+                got = serialize.bcs_to_json(build_assumption_bcs(games, selection))
+                with monkeypatch.context() as m:
+                    m.setattr(asm, "oc_dominance", dominance_reference)
+                    m.setattr(asm, "_oc_isomorphism", isomorphism_reference)
+                    m.setattr(asm, "oc_decreasing_risk", decreasing_risk_reference)
+                    assert got == serialize.bcs_to_json(build_assumption_bcs(games, selection))
+                built += bool(got["constraints"])
+        assert built >= 200

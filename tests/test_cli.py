@@ -1,5 +1,6 @@
 """CLI: exit codes, reports, and determinism."""
 
+import argparse
 import copy
 import json
 import random
@@ -15,7 +16,7 @@ from oc_reason import (
     path_consistency_sweeps,
     serialize,
 )
-from oc_reason.cli import main
+from oc_reason.cli import build_parser, main
 from oc_reason.fixtures import chicken_trio, stag_hunt_pair
 
 
@@ -269,6 +270,49 @@ class TestReports:
             main(["check-si", str(trio_file), "Gc", "??", "--pref", "pareto"]),
         }
         assert codes <= {0, 1, 2, 3}
+
+
+class TestGameNames:
+    """A game name becomes a variable id and a key of the BCS file's
+    "games" object, which JSON makes a string; other names are input errors."""
+
+    @staticmethod
+    def write(tmp_path, stem, name, game):
+        path = tmp_path / f"{stem}.json"
+        serialize.write_json(path, {**serialize.game_to_json(game), "name": name})
+        return str(path)
+
+    def test_numeric_name_with_a_dominated_row(self, tmp_path, capsys):
+        ga, gb, _ = chicken_trio()    # Ga has the strictly dominated row C'
+        paths = [self.write(tmp_path, "g5", 5, ga), self.write(tmp_path, "g6", "G6", gb)]
+        out = tmp_path / "out.json"
+        assert main(["assume", *paths, "--dominance", "--out", str(out)]) == 1
+        assert "game name must be a non-empty string, got 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_names_are_not_written(self, tmp_path, capsys):
+        _, gb, gc = chicken_trio()    # isomorphic, with pure equilibria
+        paths = [self.write(tmp_path, "g6", 6, gb), self.write(tmp_path, "g7", 7, gc)]
+        out = tmp_path / "out.json"
+        assert main(["assume", *paths, "--isomorphism", "--nash", "--out", str(out)]) == 1
+        assert "game name must be a non-empty string, got 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["", 0, False, 1.5])
+    def test_other_present_names_are_rejected(self, tmp_path, name, capsys):
+        _, gb, _ = chicken_trio()
+        assert main(["assume", self.write(tmp_path, "g", name, gb), "--nash",
+                     "--out", str(tmp_path / "out.json")]) == 1
+        assert "game name must be a non-empty string" in capsys.readouterr().err
+
+
+def test_every_option_has_help():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [(name, action.option_strings)
+               for name, sub in [("", parser), *commands.choices.items()]
+               for action in sub._actions if action.option_strings and not action.help]
+    assert missing == []
 
 
 class TestMutationFuzz:

@@ -33,8 +33,10 @@ from oc_reason import (
 from oc_reason import assumptions as asm
 from oc_reason import closedness
 from oc_reason.bcs import inverse
-from oc_reason.games import find_isomorphisms, is_fully_reduced
-from conftest import affine_copy, random_game, with_dominated_row
+from oc_reason.fixtures import stag_hunt_pair
+from oc_reason.games import find_isomorphisms, fully_reduce, is_fully_reduced
+from conftest import (affine_copy, permuted_copy, random_game, small_game, small_game_set,
+                      with_dominated_row)
 
 DOM2 = ("x1", "x2")
 DOMY = ("y1", "y2")
@@ -665,6 +667,200 @@ class TestClassifyConstraints:
         assert sum(isinstance(o, str) for o in outcomes) >= 20
         assert sum(isinstance(o, tuple) and bool(o[0]) for o in outcomes) >= 20
         assert sum(isinstance(o, tuple) and bool(o[1]) for o in outcomes) >= 20
+
+
+def class_blocks_reference(game, searches):
+    """The class grouping that `_own_class_order` absorbed: outcome classes
+    as profiles, each sorted by label, classes by their first label."""
+    keys = closedness._orbit_classes(game, searches)
+    blocks = {}
+    for profile, key in keys.items():
+        blocks.setdefault(key, []).append(profile)
+    out = []
+    for members in blocks.values():
+        members.sort(key=game.profile_label)
+        out.append(members)
+    out.sort(key=lambda ms: game.profile_label(ms[0]))
+    return out
+
+
+def own_class_order_reference(game, searches):
+    return tuple(game.profile_label(p) for block in class_blocks_reference(game, searches)
+                 for p in block)
+
+
+def transport_order_reference(src, dst, src_order, searches):
+    """The transport that rescanned every profile per class: each class's
+    members mapped through the first isomorphism, sorted by label."""
+    isos = searches.isomorphisms(src, dst)
+    if not isos:
+        raise InputError(f"no isomorphism from {src.name!r} to {dst.name!r}")
+    iso = isos[0]
+    keys = closedness._orbit_classes(src, searches)
+    seen, out = set(), []
+    for label in src_order:
+        key = keys[src.label_profile(label)]
+        if key in seen:
+            continue
+        seen.add(key)
+        members = sorted({iso.apply(p) for p, k in keys.items() if k == key},
+                         key=dst.profile_label)
+        out.extend(dst.profile_label(p) for p in members)
+    return tuple(out)
+
+
+def orders_reference(games, bcs, parents=None):
+    """`orders_for_assumptions` as it walked each isomorphism component
+    twice: a depth-first pass to collect the component, then a breadth-first
+    pass from its decreasing-risk games, or from its first listed game.
+    Each transport appends its (parent, game) names to `parents`, if given."""
+    names = {g.name for g in games}
+    if len(names) != len(games):
+        raise InputError("duplicate game names")
+    for v in bcs.variables:
+        if v.id not in names:
+            raise InputError(f"structure variable {v.id!r} is not one of the games")
+    by_name = {g.name: g for g in games}
+    for v in bcs.variables:
+        if v.domain != by_name[v.id].outcome_labels():
+            raise InputError(f"domain of {v.id!r} does not match the game's outcomes")
+    searches = asm._Searches()
+    risk_orders, iso_edges = closedness._classify_constraints(games, bcs, searches)
+    orders = dict(risk_orders)
+    reduced = [g for g in games if searches.reduced(g)]
+    neighbors = {g.name: set() for g in reduced}
+    for a, b in iso_edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    listed = [g.name for g in games]
+    for g in reduced:
+        if g.name in orders:
+            continue
+        component, frontier = {g.name}, [g.name]
+        while frontier:
+            cur = frontier.pop()
+            for nxt in neighbors[cur]:
+                if nxt not in component:
+                    component.add(nxt)
+                    frontier.append(nxt)
+        seeds = sorted((n for n in component if n in orders), key=listed.index)
+        if not seeds:
+            rep = min(component, key=listed.index)
+            orders[rep] = own_class_order_reference(by_name[rep], searches)
+            seeds = [rep]
+        queue = list(seeds)
+        while queue:
+            cur = queue.pop(0)
+            for nxt in sorted(neighbors[cur], key=listed.index):
+                if nxt not in orders:
+                    orders[nxt] = transport_order_reference(by_name[cur], by_name[nxt],
+                                                            orders[cur], searches)
+                    queue.append(nxt)
+                    if parents is not None:
+                        parents.append((cur, nxt))
+    for g in games:
+        if g.name in orders:
+            continue
+        final = fully_reduce(g).final
+        base = ()
+        for other in games:
+            if other.name != g.name and other.same_payoffs(final) and other.name in orders:
+                base = orders[other.name]
+                break
+        kept = set(base)
+        orders[g.name] = tuple(sorted(l for l in g.outcome_labels() if l not in kept)) + base
+    return orders
+
+
+class TestOrderPass:
+    """The one breadth-first pass, the folded class order and the product
+    transport against the component walk and the per-class rescans they
+    replaced, on seeded 2- and 3-player sets."""
+
+    @pytest.fixture(scope="class")
+    def game_sets(self):
+        rng = random.Random(62)
+        return [small_game_set(rng, players, stag_hunt_pair())
+                for players in (2, 3) for _ in range(20)]
+
+    def test_class_orders_and_transports_equal_the_rescans(self, game_sets):
+        transports = {2: 0, 3: 0}
+        for games in game_sets:
+            searches = asm._Searches()
+            reduced = [g for g in games if searches.reduced(g)]
+            for g in reduced:
+                assert closedness._own_class_order(g, searches) == \
+                    own_class_order_reference(g, searches)
+            for src, dst in itertools.product(reduced, repeat=2):
+                order = own_class_order_reference(src, searches)
+                # the transport may go through any isomorphism: try each first
+                for iso in searches.isomorphisms(src, dst):
+                    one = asm._Searches()
+                    one._isomorphisms[(src.name, dst.name)] = [iso]
+                    assert closedness._transport_order(src, dst, order, one) == \
+                        transport_order_reference(src, dst, order, one)
+                    transports[src.n_players] += 1
+        assert min(transports.values()) >= 60, transports
+
+    def test_orders_equal_the_component_walk(self, game_sets):
+        rng = random.Random(63)
+        outcomes = []
+        for games in game_sets:
+            labelings = tuple(lab for g1, g2 in itertools.product(games, repeat=2)
+                              for lab in asm.discover_risk_labelings(g1, g2))
+            for selection in (
+                    AssumptionSelection(dominance=True, isomorphism=True, nash=True,
+                                        decreasing_risk=labelings),
+                    AssumptionSelection(isomorphism=True),
+                    AssumptionSelection(dominance=True, nash=True)):
+                bcs = build_assumption_bcs(games, selection)
+                x, y = rng.choice(bcs.variables), rng.choice(bcs.variables)
+                foreign = Correspondence.from_pairs(x.id, y.id, x.domain, y.domain, [
+                    (a, b) for a in x.domain for b in y.domain if rng.random() < 0.5])
+                subsets = [Bcs(bcs.variables, tuple(
+                    inverse(c) if rng.random() < 0.3 else c
+                    for c in bcs.constraints if rng.random() < 0.6)) for _ in range(3)]
+                for b in [bcs, bcs.with_constraints([foreign]),
+                          Bcs(bcs.variables, tuple(inverse(c) for c in bcs.constraints)),
+                          *subsets]:
+                    got = outcome(orders_for_assumptions, games, b)
+                    assert got == outcome(orders_reference, games, b)
+                    outcomes.append(got)
+        # both orders and rejections, the orders of sets with 3-player games too
+        assert sum(isinstance(o, str) for o in outcomes) >= 60
+        assert sum(isinstance(o, dict) for o in outcomes) >= 400
+        assert sum(isinstance(o, dict) and "p2a0" in "".join(o.get("A", ()))
+                   for o in outcomes) >= 150
+
+    def test_each_game_keeps_its_parent(self, stag_pair, monkeypatch):
+        # components of up to six copies of one game, with random isomorphism
+        # edges and decreasing-risk self-loops: the parent a game is reached
+        # from differs between breadth and depth first only from four games on
+        rng = random.Random(64)
+        parents = []
+        original = closedness._transport_order
+
+        def recording(src, dst, *args):
+            parents.append((src.name, dst.name))
+            return original(src, dst, *args)
+
+        monkeypatch.setattr(closedness, "_transport_order", recording)
+        left, _, _ = stag_pair
+        deep = 0
+        for _ in range(60):
+            base = rng.choice([left, small_game(rng, "A", 2), small_game(rng, "A", 3)])
+            games = [permuted_copy(rng, base, f"X{k}") for k in range(rng.randint(4, 6))]
+            bcs = build_assumption_bcs(games, AssumptionSelection(
+                isomorphism=True, decreasing_risk=tuple(
+                    lab for g in games if rng.random() < 0.4
+                    for lab in asm.discover_risk_labelings(g, g))))
+            bcs = Bcs(bcs.variables, tuple(c for c in bcs.constraints if rng.random() < 0.6))
+            parents.clear()
+            expected = []
+            assert orders_for_assumptions(games, bcs) == orders_reference(games, bcs, expected)
+            assert sorted(parents) == sorted(expected)
+            deep += len(expected) >= 3
+        assert deep >= 20
 
 
 class TestSearchesOncePerCall:

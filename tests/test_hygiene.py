@@ -7,8 +7,9 @@ when it is loaded anywhere in its module (imports) or anywhere in its
 function, nested functions included (locals). Names starting with ``_`` are
 exempt from the local check, as throwaway targets. A module-level function
 or class named ``_name`` counts as read when some module of the package
-loads the name or reads it as an attribute; what the tests read does not
-count, so a helper kept only for them is a fork of the code in use.
+loads the name or reads it as an attribute outside the private helpers,
+or inside a helper so read; what the tests read does not count, so a helper
+kept only for them is a fork of the code in use.
 """
 
 import ast
@@ -91,16 +92,34 @@ def never_read_locals(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def _reads(node: ast.AST) -> set[str]:
+    """The names and attributes read under `node`."""
+    return _loaded(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def dead_private_helpers(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
-    """The module-level functions and classes named ``_name`` that no tree
-    reads, by name or as an attribute, as (module, line, name)."""
-    read = set()
+    """The module-level functions and classes named ``_name`` that no live
+    code reads, by name or as an attribute, as (module, line, name). Code
+    outside these helpers is live, and so is every helper that live code
+    reads, to a fixed point: a helper read only by dead helpers or by
+    itself is dead too."""
+    helpers: dict[str, list[ast.AST]] = {}
+    outside: set[str] = set()
     for tree in trees.values():
-        read |= _loaded(tree)
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in tree.body:
+            if isinstance(node, HELPERS) and node.name.startswith("_"):
+                helpers.setdefault(node.name, []).append(node)
+            else:
+                outside |= _reads(node)
+    live: set[str] = set()
+    frontier = outside & helpers.keys()
+    while frontier:
+        live |= frontier
+        read = set().union(*(_reads(node) for name in frontier for node in helpers[name]))
+        frontier = (read & helpers.keys()) - live
     return [(module, node.lineno, node.name) for module, tree in trees.items()
             for node in tree.body if isinstance(node, HELPERS)
-            and node.name.startswith("_") and node.name not in read]
+            and node.name.startswith("_") and node.name not in live]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -145,12 +164,22 @@ def test_the_scan_finds_dead_private_helpers():
             "def _by_attribute():\n"
             "    pass\n"
             "def public():\n"
-            "    pass\n"),
+            "    return _used() + _via_helper()\n"
+            "def _via_helper():\n"
+            "    return _used()\n"
+            "def _chain_head():\n"
+            "    return _chain_tail()\n"
+            "def _chain_tail():\n"
+            "    return 2\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"),
         "b.py": ast.parse(
             "import a\n"
             "helper = a._by_attribute\n"),
     }
-    assert dead_private_helpers(trees) == [("a.py", 3, "_dead"), ("a.py", 5, "_Unread")]
+    assert dead_private_helpers(trees) == [
+        ("a.py", 3, "_dead"), ("a.py", 5, "_Unread"), ("a.py", 13, "_chain_head"),
+        ("a.py", 15, "_chain_tail"), ("a.py", 17, "_recursive")]
 
 
 def test_traced_functions_exist():
