@@ -11,8 +11,11 @@ action maps to a set of the other game's actions, and an outcome to the
 product of its actions' images. `_product_oc` builds all three.
 
 Each family's constraints are derived in `_derive_constraints` alone, which
-`closedness` also runs to learn which family generated each constraint; the
-`_Searches` memo there derives reduction flags and isomorphisms once per call.
+`closedness` also runs to learn which family generated each constraint. The
+`_Searches` memo there derives each game's one-round reduction and affine
+key (`games._affine_key`) once per call, and searches for isomorphisms, once
+per ordered pair, only between games of one shape whose players' primitives
+are equal: a positive affine map exists between no other pair.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .games import (
     Isomorphism,
     NormalFormGame,
     ParetoRelation,
+    _affine_key,
     find_isomorphisms,
     is_fully_reduced,
     one_round_reduction,
@@ -93,7 +97,13 @@ def oc_dominance(game: NormalFormGame) -> tuple[NormalFormGame, Correspondence]:
     correspondence: surviving outcomes map to themselves, outcomes using an
     eliminated action map to nothing. Games without dominated actions get the
     identity correspondence on themselves unchanged."""
-    sub, _ = one_round_reduction(game)
+    return _oc_dominance(game, one_round_reduction(game)[0])
+
+
+def _oc_dominance(game: NormalFormGame,
+                  sub: NormalFormGame) -> tuple[NormalFormGame, Correspondence]:
+    """`oc_dominance` from the game's one-round reduction `sub`, which is
+    `game` itself when no action is dominated."""
     if sub is game:
         return game, Correspondence.identity(game.name, game.outcome_labels())
     sub = NormalFormGame(game.name + "_reduced", sub.actions, sub.utilities)
@@ -239,22 +249,36 @@ def discover_risk_labelings(g1: NormalFormGame, g2: NormalFormGame) -> list[Decr
 
 
 class _Searches:
-    """Reduction flags and isomorphism lists of one game list, each derived
-    at most once during the call that made it."""
+    """Per game of one list, keyed by name: its one-round reduction and the
+    primitives of its affine key; per ordered pair, its isomorphism list. Each is derived at
+    most once during the call that made it, and `find_isomorphisms` runs
+    only for games of one shape whose players' primitives are all equal,
+    since no other pair is isomorphic."""
 
     def __init__(self):
-        self._reduced: dict[str, bool] = {}
+        self._reductions: dict[str, NormalFormGame] = {}
+        self._primitives: dict[str, tuple[tuple[int, ...], ...]] = {}
         self._isomorphisms: dict[tuple[str, str], list[Isomorphism]] = {}
 
+    def reduction(self, game: NormalFormGame) -> NormalFormGame:
+        """`one_round_reduction(game)[0]`: `game` itself when it is fully reduced."""
+        if game.name not in self._reductions:
+            self._reductions[game.name] = one_round_reduction(game)[0]
+        return self._reductions[game.name]
+
     def reduced(self, game: NormalFormGame) -> bool:
-        if game.name not in self._reduced:
-            self._reduced[game.name] = is_fully_reduced(game)
-        return self._reduced[game.name]
+        return self.reduction(game) is game
+
+    def primitives(self, game: NormalFormGame) -> tuple[tuple[int, ...], ...]:
+        if game.name not in self._primitives:
+            self._primitives[game.name] = tuple(p for p, _, _ in _affine_key(game))
+        return self._primitives[game.name]
 
     def isomorphisms(self, g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphism]:
         key = (g1.name, g2.name)
         if key not in self._isomorphisms:
-            self._isomorphisms[key] = find_isomorphisms(g1, g2)
+            self._isomorphisms[key] = find_isomorphisms(g1, g2) if (
+                g1.shape == g2.shape and self.primitives(g1) == self.primitives(g2)) else []
         return self._isomorphisms[key]
 
 
@@ -270,7 +294,7 @@ def _derive_constraints(games: list[NormalFormGame], selection: AssumptionSelect
         for g in games:
             if g.name not in allowed:
                 continue
-            sub, oc = oc_dominance(g)
+            sub, oc = _oc_dominance(g, searches.reduction(g))
             if sub.same_payoffs(g):
                 continue
             for other in games:

@@ -285,7 +285,7 @@ def _transport_order(src: NormalFormGame, dst: NormalFormGame,
     return tuple(out)
 
 
-def _risk_order(g: NormalFormGame, top: tuple[str, str], safe: tuple[str, str]) -> tuple[str, ...]:
+def _risk_order(top: tuple[str, str], safe: tuple[str, str]) -> tuple[str, ...]:
     """Ascending: (top1,safe2) < (safe1,top2) < (safe,safe) < (top,top)."""
     return (
         f"{top[0]},{safe[1]}",
@@ -301,7 +301,6 @@ def _classify_constraints(games: list[NormalFormGame], bcs: Bcs, searches: asm._
     over the games, or to its inverse. Returns (risk orders by game,
     isomorphism edges); raises when some constraint matches no candidate.
     """
-    by_name = {g.name: g for g in games}
     labelings = [lab for g1, g2 in itertools.permutations(games, 2)
                  for lab in asm.discover_risk_labelings(g1, g2)]
     labelings += [lab for g in games for lab in asm.discover_risk_labelings(g, g)]
@@ -327,7 +326,7 @@ def _classify_constraints(games: list[NormalFormGame], bcs: Bcs, searches: asm._
             lab: asm.DecreasingRiskPair = payload
             for name, top, safe in ((lab.g1, lab.g1_top, lab.g1_safe),
                                     (lab.g2, lab.g2_top, lab.g2_safe)):
-                order = _risk_order(by_name[name], top, safe)
+                order = _risk_order(top, safe)
                 if risk_orders.get(name, order) != order:
                     raise InputError(
                         f"conflicting decreasing-risk orders required for {name!r}")

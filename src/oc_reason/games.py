@@ -12,6 +12,7 @@ the comma-joined action labels in player order, e.g. ``"C,D"``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -305,24 +306,26 @@ def is_fully_reduced(game: NormalFormGame) -> bool:
     return all(not dominated_actions(game, i) for i in range(game.n_players))
 
 
-def _affine_fit(pairs: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction] | None:
-    """Find (scale, shift) with scale > 0 and u = scale*v + shift for all (u, v) pairs.
+def _affine_key(game: NormalFormGame) -> tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]:
+    """Per player, ``(primitive, low, unit)`` with each of the player's sorted
+    payoffs equal to ``low + unit * k`` for the matching k of `primitive`.
 
-    When v is constant the scale is unconstrained; it is canonicalized to 1.
+    `primitive` is the sorted payoffs on a common denominator, minus their
+    minimum and divided by their gcd: ints with minimum 0 and gcd 1, so a
+    positive affine map carries one player's payoffs onto another's exactly
+    when their primitives are equal. A constant column has all zeros and
+    unit 1.
     """
-    base_u, base_v = pairs[0]
-    other = next(((u, v) for u, v in pairs if v != base_v), None)
-    if other is None:
-        if any(u != base_u for u, _ in pairs):
-            return None
-        return Fraction(1), base_u - base_v
-    scale = (other[0] - base_u) / (other[1] - base_v)
-    if scale <= 0:
-        return None
-    shift = base_u - scale * base_v
-    if all(u == scale * v + shift for u, v in pairs):
-        return scale, shift
-    return None
+    out = []
+    for i in range(game.n_players):
+        column = [vector[i] for vector in game.utilities.values()]
+        den = math.lcm(*(x.denominator for x in column))
+        ints = sorted(x.numerator * (den // x.denominator) for x in column)
+        low = ints[0]
+        step = math.gcd(*(k - low for k in ints)) or den
+        out.append((tuple((k - low) // step for k in ints),
+                    Fraction(low, den), Fraction(step, den)))
+    return tuple(out)
 
 
 def _refine_actions(tables: Sequence[Mapping[Profile, int]],
@@ -362,9 +365,11 @@ def find_isomorphisms(g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphis
     bijection encoding.
 
     A positive affine map carries each player's sorted payoff multiset of
-    g2 onto g1's, so `_affine_fit` over the sorted multisets fixes the only
-    possible (scale, shift) per player before any search (scale 1 where a
-    player's payoffs are constant). With g2's payoffs carried into g1's
+    g2 onto g1's, so the games are isomorphic only if every player has the
+    same primitive in both games' `_affine_key`, and the keys fix the only
+    possible (scale, shift) per player before any search: scale is g1's
+    unit over g2's, shift is g1's low minus scale times g2's (scale 1 where
+    a player's payoffs are constant). With g2's payoffs carried into g1's
     scale, colour refinement (`_refine_actions`, as in nauty/Traces) gives
     each action its candidate images. A backtracking search then places one
     action at a time, round-robin over the players, and checks each profile
@@ -382,12 +387,12 @@ def find_isomorphisms(g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphis
     if g1.shape != g2.shape:
         return []
     fits = []
-    for i in range(g1.n_players):
-        fit = _affine_fit(list(zip(sorted(v[i] for v in g1.utilities.values()),
-                                   sorted(v[i] for v in g2.utilities.values()))))
-        if fit is None:
+    for (primitive, low, unit), (primitive2, low2, unit2) in zip(_affine_key(g1),
+                                                                 _affine_key(g2)):
+        if primitive != primitive2:
             return []
-        fits.append(fit)
+        scale = unit / unit2
+        fits.append((scale, low - scale * low2))
     scales = tuple(s for s, _ in fits)
     shifts = tuple(b for _, b in fits)
     # payoff vectors as ids, g2's carried into g1's scale: from here on the

@@ -313,7 +313,7 @@ class TestProductBuilders:
                     AssumptionSelection(dominance=True, nash=True)):
                 got = serialize.bcs_to_json(build_assumption_bcs(games, selection))
                 with monkeypatch.context() as m:
-                    m.setattr(asm, "oc_dominance", dominance_reference)
+                    m.setattr(asm, "_oc_dominance", lambda g, _sub: dominance_reference(g))
                     m.setattr(asm, "_oc_isomorphism", isomorphism_reference)
                     m.setattr(asm, "oc_decreasing_risk", decreasing_risk_reference)
                     assert got == serialize.bcs_to_json(build_assumption_bcs(games, selection))

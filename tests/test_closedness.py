@@ -16,6 +16,7 @@ from oc_reason import (
     InputError,
     NormalFormGame,
     build_assumption_bcs,
+    csp_to_si_games,
     is_join_closed,
     is_max_closed,
     join_incompleteness_instance,
@@ -34,7 +35,7 @@ from oc_reason import assumptions as asm
 from oc_reason import closedness
 from oc_reason.bcs import inverse
 from oc_reason.fixtures import stag_hunt_pair
-from oc_reason.games import find_isomorphisms, fully_reduce, is_fully_reduced
+from oc_reason.games import _affine_key, find_isomorphisms, fully_reduce, is_fully_reduced
 from conftest import (affine_copy, permuted_copy, random_game, small_game, small_game_set,
                       with_dominated_row)
 
@@ -522,7 +523,6 @@ def classify_reference(games, bcs):
     every candidate re-derived family by family, then each constraint
     compared with each candidate and its inverse in turn, the first match
     winning."""
-    by_name = {g.name: g for g in games}
     reduced = {g.name: is_fully_reduced(g) for g in games}
     candidates = []
     for g in games:
@@ -563,7 +563,7 @@ def classify_reference(games, bcs):
         elif kind == "risk":
             for name, top, safe in ((payload.g1, payload.g1_top, payload.g1_safe),
                                     (payload.g2, payload.g2_top, payload.g2_safe)):
-                order = closedness._risk_order(by_name[name], top, safe)
+                order = closedness._risk_order(top, safe)
                 if risk_orders.get(name, order) != order:
                     raise InputError(
                         f"conflicting decreasing-risk orders required for {name!r}")
@@ -879,7 +879,7 @@ class TestSearchesOncePerCall:
         games, selection = game_set
         bcs = build_assumption_bcs(games, selection)
         searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
-        reductions = _record_calls(monkeypatch, "is_fully_reduced", (asm,))
+        reductions = _record_calls(monkeypatch, "one_round_reduction", (asm,))
         orders = orders_for_assumptions(games, bcs)
         assert is_max_closed(bcs, orders).closed
         assert ("Gb", "Gc") in searches and ("Gb", "Gb") in searches
@@ -889,9 +889,28 @@ class TestSearchesOncePerCall:
     def test_build_assumption_bcs(self, game_set, monkeypatch):
         import oc_reason.assumptions as asm
         games, selection = game_set
-        reductions = _record_calls(monkeypatch, "is_fully_reduced", (asm,))
+        reductions = _record_calls(monkeypatch, "one_round_reduction", (asm,))
         build_assumption_bcs(games, selection)
         assert sorted(reductions) == sorted({(g.name,) for g in games})
+
+    def test_searches_only_key_equal_pairs(self, game_set, monkeypatch):
+        games, selection = game_set
+        by_name = {g.name: g for g in games}
+        searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
+        orders_for_assumptions(games, build_assumption_bcs(games, selection))
+        assert ("Gb", "Gc") in searches and ("Gc", "Gd") in searches
+        for n1, n2 in searches:
+            g1, g2 = by_name[n1], by_name[n2]
+            assert g1.shape == g2.shape
+            assert [p for p, _, _ in _affine_key(g1)] == [p for p, _, _ in _affine_key(g2)]
+
+    def test_no_search_on_csp_encodings(self, monkeypatch):
+        games = list(csp_to_si_games(montanari_instance()).games)
+        searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
+        build_assumption_bcs(games, AssumptionSelection(dominance=True, isomorphism=True))
+        assert searches == []
+        # the encoding's variable games share shapes, so pairs were searched before
+        assert sum(g1.shape == g2.shape for g1, g2 in itertools.combinations(games, 2)) >= 3
 
     def test_fixture_orders_are_pinned(self, game_set):
         games, selection = game_set

@@ -1,6 +1,7 @@
 """Game primitives: dominance, reduction, isomorphisms, equilibria, Pareto."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,8 +20,28 @@ from oc_reason import (
     pure_nash_equilibria,
     strictly_dominates,
 )
-from oc_reason.games import _affine_fit
+from oc_reason.games import _affine_key
 from conftest import affine_copy, random_game
+
+
+def _affine_fit(pairs: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction] | None:
+    """Find (scale, shift) with scale > 0 and u = scale*v + shift for all (u, v) pairs.
+
+    When v is constant the scale is unconstrained; it is canonicalized to 1.
+    """
+    base_u, base_v = pairs[0]
+    other = next(((u, v) for u, v in pairs if v != base_v), None)
+    if other is None:
+        if any(u != base_u for u, _ in pairs):
+            return None
+        return Fraction(1), base_u - base_v
+    scale = (other[0] - base_u) / (other[1] - base_v)
+    if scale <= 0:
+        return None
+    shift = base_u - scale * base_v
+    if all(u == scale * v + shift for u, v in pairs):
+        return scale, shift
+    return None
 
 
 def exhaustive_isomorphisms(g1, g2):
@@ -68,6 +89,17 @@ def relabelled_copy(rng, game, name):
         tuple(maps[i][a] for i, a in enumerate(p)):
             tuple((x - shifts[i]) / scales[i] for i, x in enumerate(v))
         for p, v in game.utilities.items()})
+
+
+def rational_game(rng, name, shape):
+    """Each player's payoffs drawn from four negative or fractional values,
+    so ties are common; one player in five gets a constant column."""
+    pools = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
+             for _ in shape]
+    for pool in pools:
+        if rng.random() < 0.2:
+            pool[1:] = [pool[0]] * 3
+    return payoff_game(name, shape, lambda p: tuple(rng.choice(pool) for pool in pools))
 
 
 class TestConstruction:
@@ -206,6 +238,36 @@ class TestIsomorphisms:
                 for b in find_isomorphisms(g2, g3):
                     c = a.compose(b)
                     assert (c.maps, c.scales, c.shifts) in all13
+
+
+class TestAffineKey:
+    """`_affine_key` against `_affine_fit` over the sorted payoff multisets
+    it replaced in `find_isomorphisms`."""
+
+    def test_primitives_decide_the_fit_and_fix_its_map(self):
+        rng = random.Random(8)
+        seen = {"fit": 0, "no fit": 0, "constant": 0, "scaled": 0}
+        for t in range(400):
+            shape = rng.choice([(2, 2), (3, 2), (3, 3), (2, 2, 2), (3, 2, 2)])
+            g = rational_game(rng, "g", shape)
+            h = (affine_copy(rng, g, "h"), relabelled_copy(rng, g, "h"),
+                 rational_game(rng, "h", shape), g)[t % 4]
+            for i, ((primitive, low, unit), (primitive2, low2, unit2)) in enumerate(
+                    zip(_affine_key(g), _affine_key(h))):
+                u = sorted(g.payoff_of(p, i) for p in g.profiles())
+                v = sorted(h.payoff_of(p, i) for p in h.profiles())
+                assert u == [low + unit * k for k in primitive]
+                assert min(primitive) == 0 and unit > 0
+                assert math.gcd(*primitive) == 1 or (set(primitive) == {0} and unit == 1)
+                fit = _affine_fit(list(zip(u, v)))
+                assert (primitive == primitive2) == (fit is not None)
+                if fit is not None:
+                    scale = unit / unit2
+                    assert (scale, low - scale * low2) == fit
+                seen["fit" if fit else "no fit"] += 1
+                seen["constant"] += set(primitive) == {0}
+                seen["scaled"] += fit is not None and fit[0] != 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestRefinementSearch:
