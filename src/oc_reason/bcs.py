@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import lshift
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -91,13 +91,13 @@ class Correspondence:
                    source_domain: Sequence[str], target_domain: Sequence[str],
                    pairs: Iterable[tuple[str, str]]) -> "Correspondence":
         sd, td = tuple(source_domain), tuple(target_domain)
-        sidx = {v: i for i, v in enumerate(sd)}
-        tidx = {v: i for i, v in enumerate(td)}
+        sidx, tidx = dict(zip(sd, range(len(sd)))), dict(zip(td, range(len(td))))
         rows = [0] * len(sd)
         for x, y in pairs:
-            if x not in sidx or y not in tidx:
-                raise InputError(f"pair ({x!r}, {y!r}) is outside the declared domains")
-            rows[sidx[x]] |= 1 << tidx[y]
+            try:
+                rows[sidx[x]] |= 1 << tidx[y]
+            except (KeyError, TypeError):
+                raise InputError(f"pair ({x!r}, {y!r}) is outside the declared domains") from None
         return cls(source, target, sd, td, tuple(rows))
 
     @classmethod
@@ -421,9 +421,13 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     signaling unsatisfiability evidence, never an error.
     """
     rel = _relation_store(bcs)
-    n = len(rel)
-    shrank = _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)), bcs._stride)
-    return PropagatedBcs(bcs, rel, shrank)
+    return PropagatedBcs(bcs, rel, _propagate(rel, _every_pair(len(rel)), bcs._stride))
+
+
+def _every_pair(n: int) -> Iterator[tuple[int, int]]:
+    """Every pair (a, b) of n variable positions with a <= b, the seeds of a
+    propagation from scratch."""
+    return ((a, b) for a in range(n) for b in range(a, n))
 
 
 def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:

@@ -11,6 +11,7 @@ the comma-joined action labels in player order, e.g. ``"C,D"``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,10 @@ RationalLike = int | str | Fraction | tuple
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, "p/q" string, Fraction, or (p, q) pair to a Fraction."""
+    """Coerce an int, "p/q" string, Fraction, or (p, q) pair of ints to a
+    Fraction. Bools, floats and pairs of anything but ints are rejected."""
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -39,12 +43,27 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {value!r}") from exc
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        try:
-            return Fraction(int(value[0]), int(value[1]))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot interpret {value!r} as an exact rational") from exc
+    if isinstance(value, (tuple, list)) and len(value) == 2 and \
+            all(type(v) is int for v in value) and value[1]:
+        return Fraction(*value)
     raise InputError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _action_indexes(actions: Sequence[Sequence[str]]) -> list[dict[str, int]]:
+    """Per player, each action label's index."""
+    return [dict(zip(acts, range(len(acts)))) for acts in actions]
+
+
+def _profile(indexes: Sequence[Mapping[str, int]], key: Sequence[str]) -> Profile:
+    """The profile of a utility key given as action labels in player order;
+    a key shorter than the player count gives a short profile, which the
+    game's coverage check rejects."""
+    if len(key) <= len(indexes):
+        try:
+            return tuple(map(dict.__getitem__, indexes, key))
+        except (KeyError, TypeError):
+            pass
+    raise InputError(f"unknown action in utility key {tuple(key)!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +88,8 @@ class NormalFormGame:
             if len(set(acts)) != len(acts):
                 raise InputError(f"player {i} has duplicate action labels")
             for a in acts:
+                if not isinstance(a, str):
+                    raise InputError(f"action label {a!r} of player {i} is not a string")
                 if "," in a or not a:
                     raise InputError(f"bad action label {a!r} (empty or contains a comma)")
         n = len(self.actions)
@@ -85,16 +106,11 @@ class NormalFormGame:
         """Build a game, accepting label-tuple or index-tuple utility keys and
         any rational-like payoff entries."""
         acts = tuple(tuple(a) for a in actions)
+        indexes = _action_indexes(acts)
         table: dict[Profile, PayoffVector] = {}
         for key, vector in utilities.items():
-            if all(isinstance(k, int) for k in key):
-                profile = tuple(key)
-            else:
-                try:
-                    profile = tuple(acts[i].index(k) for i, k in enumerate(key))
-                except (ValueError, IndexError) as exc:
-                    raise InputError(f"unknown action in utility key {key!r}") from exc
-            table[profile] = tuple(as_fraction(v) for v in vector)
+            profile = tuple(key) if all(isinstance(k, int) for k in key) else _profile(indexes, key)
+            table[profile] = tuple(map(as_fraction, vector))
         return cls(name, acts, table)
 
     @classmethod
@@ -138,7 +154,12 @@ class NormalFormGame:
             raise InputError(f"unknown action in outcome label {label!r}") from exc
 
     def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(self.profile_label(p) for p in self.profiles())
+        """Every profile's label, in profile order; derived once per game."""
+        return self._outcome_labels
+
+    @functools.cached_property
+    def _outcome_labels(self) -> tuple[str, ...]:
+        return tuple(map(",".join, itertools.product(*self.actions)))
 
     def outcome(self, profile: Profile) -> "Outcome":
         for i, a in enumerate(profile):

@@ -3,8 +3,13 @@
 Formats:
   game           {"name": "Gb", "players": 2, "actions": [["C","D"],["C","D"]],
                   "utilities": {"C,D": [1, 4], ...}}
-                 payoffs are exact rationals: integers or "p/q" strings;
-                 utility keys are comma-joined action labels in player order.
+                 "players" is a JSON integer, the number of action lists;
+                 action labels are non-empty strings without commas,
+                 distinct per player; payoffs are exact rationals: an
+                 integer, a "p/q" string or a [p, q] pair of integers with
+                 q nonzero (booleans and floats are rejected, in a pair
+                 too); utility keys are comma-joined action labels in
+                 player order, one per profile, in any order.
   BCS            {"variables": [{"id": "X", "domain": ["x1","x2"]}, ...],
                   "constraints": [{"x": "X", "y": "Y", "pairs": [["x1","y2"], ...]}],
                   "games": {"Gb": "gb.json" | {inline game}}}    (games optional)
@@ -33,15 +38,15 @@ byte-identically.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .assumptions import AssumptionSelection, DecreasingRiskPair
 from .bcs import Bcs, Correspondence, Variable
 from .closedness import join_table_from_hasse
 from .errors import InputError
-from .games import NormalFormGame, as_fraction
+from .games import NormalFormGame, _action_indexes, _profile, as_fraction
 from .si import Preference, pareto_preference, player_preference
 
 
@@ -61,7 +66,7 @@ def read_json(path: str | Path):
 
 
 def _object(value, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise InputError(f"{what} must be a JSON object, got {value!r}")
     return value
 
@@ -103,6 +108,10 @@ def _labels(value, what: str) -> tuple:
 
 
 def _label_pair(value, what: str) -> tuple:
+    # a list of two strings, the usual case, needs no further check
+    if type(value) is list and len(value) == 2 and type(value[0]) is str and \
+            type(value[1]) is str:
+        return tuple(value)
     pair = _pair(value, what)
     if any(isinstance(v, _NOT_LABELS) for v in pair):
         raise InputError(f"{what} must be two labels, got {value!r}")
@@ -126,14 +135,23 @@ def game_to_json(game: NormalFormGame) -> dict:
 
 
 def game_from_json(obj: Mapping, name: str | None = None) -> NormalFormGame:
+    """The game of a JSON game object, read in one pass over its utilities:
+    each key is looked up in per-player label indexes and each payoff
+    converted once. Every payoff is read before an unknown key is reported."""
     players, actions, utilities = (_field(obj, key, "game object")
                                    for key in ("players", "actions", "utilities"))
-    actions = [_labels(a, "action list") for a in _list(actions, "'actions'")]
+    actions = tuple(_labels(a, "action list") for a in _list(actions, "'actions'"))
+    if isinstance(players, bool) or not isinstance(players, int):
+        raise InputError(f"'players' must be a JSON integer, got {players!r}")
     if len(actions) != players:
         raise InputError("player count does not match the action lists")
-    table = {}
+    indexes, table, unknown = _action_indexes(actions), {}, None
     for label, vector in _object(utilities, "'utilities'").items():
-        table[tuple(label.split(","))] = [as_fraction(v) for v in _list(vector, "payoff vector")]
+        payoffs = tuple(map(as_fraction, _list(vector, "payoff vector")))
+        try:
+            table[_profile(indexes, label.split(","))] = payoffs
+        except InputError as exc:
+            unknown = unknown or exc
     # a game name becomes a variable id and a key of a BCS file's "games"
     # object, which JSON makes a string
     for given in (name, obj.get("name")):
@@ -142,13 +160,14 @@ def game_from_json(obj: Mapping, name: str | None = None) -> NormalFormGame:
     game_name = name or obj.get("name")
     if not game_name:
         raise InputError("game needs a name (provide one or add a 'name' key)")
-    return NormalFormGame.create(game_name, actions, table)
+    if unknown is not None:
+        raise unknown
+    return NormalFormGame(game_name, actions, table)
 
 
 def load_game(path: str | Path) -> NormalFormGame:
-    path = Path(path)
     obj = _object(read_json(path), "game file")
-    return game_from_json(obj, name=obj.get("name") or path.stem)
+    return game_from_json(obj, name=obj.get("name") or Path(path).stem)
 
 
 def bcs_to_json(bcs: Bcs, games: Mapping[str, object] | None = None) -> dict:
@@ -181,12 +200,11 @@ def bcs_from_json(obj: Mapping, base_dir: str | Path | None = None
             x, y, domains[x], domains[y],
             [_label_pair(p, "constraint pair") for p in _list(pairs, "constraint pairs")]))
     games: dict[str, NormalFormGame] = {}
+    base = None if base_dir is None else Path(base_dir)
     for var_id, ref in _object(obj.get("games") or {}, "'games'").items():
         if isinstance(ref, str):
-            path = Path(ref)
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            games[var_id] = load_game(path)
+            # joining an absolute reference gives the reference
+            games[var_id] = load_game(Path(ref) if base is None else base / ref)
         else:
             ref = _object(ref, f"game of {var_id!r}")
             games[var_id] = game_from_json(ref, name=ref.get("name") or var_id)

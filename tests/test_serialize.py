@@ -260,6 +260,23 @@ COORDINATION_BCS = {
     pytest.param({"bcs.json": COORDINATION_BCS, "pref.json": {"kind": "player", "player": True}},
                  ["check-si", "bcs.json", "X", "Y", "--pref", "@pref.json"],
                  id="player-preference-index-a-boolean"),
+    pytest.param({"g.json": {"players": 1, "actions": [[1]], "utilities": {}}},
+                 ["assume", "g.json", "--nash", "--out", "out.json"],
+                 id="action-label-not-a-string"),
+    pytest.param({"g.json": {**ONE_GAME, "utilities": {"a,a": [[2.5, 1], 1]}}},
+                 ["assume", "g.json", "--nash", "--out", "out.json"],
+                 id="payoff-pair-with-a-float"),
+    pytest.param({"g.json": {**ONE_GAME, "utilities": {"a,a": [[1, 2.9], 1]}}},
+                 ["assume", "g.json", "--nash", "--out", "out.json"],
+                 id="payoff-pair-with-a-float-denominator"),
+    pytest.param({"g.json": {**ONE_GAME, "utilities": {"a,a": [[True, 1], 1]}}},
+                 ["assume", "g.json", "--nash", "--out", "out.json"],
+                 id="payoff-pair-with-a-boolean"),
+    pytest.param({"g.json": {"name": "G", "players": True, "actions": [["a"]],
+                             "utilities": {"a": [1]}}},
+                 ["assume", "g.json", "--nash", "--out", "out.json"], id="player-count-a-boolean"),
+    pytest.param({"g.json": {**ONE_GAME, "players": 2.0}},
+                 ["assume", "g.json", "--nash", "--out", "out.json"], id="player-count-a-float"),
     pytest.param({}, ["gen", "random-csp", "--domain", "0", "--out", "out"],
                  id="random-csp-empty-domain"),
     pytest.param({}, ["gen", "random-csp", "--vars", "-3", "--out", "out"],

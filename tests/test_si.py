@@ -362,19 +362,23 @@ class TestFindSi:
 
     def test_one_propagation_per_call(self, monkeypatch):
         # find_* share one fixed point across their pairs; decide_si keeps
-        # one propagation per pair, not the fixed point plus a restart
+        # one propagation per pair, not the fixed point plus a restart. A
+        # propagation from scratch queues every pair; refutation find_*'s
+        # restarts from the fixed point queue one pair each
         import oc_reason.bcs as bcs_module
         import oc_reason.si as si
-        calls = []
+        propagate, calls = bcs_module._propagate, []
 
-        def counted(bcs):
-            calls.append(bcs)
-            return path_consistency(bcs)
+        def counted(rel, seeds, stride):
+            seeds = list(seeds)
+            if len(seeds) == len(rel) * (len(rel) + 1) // 2:
+                calls.append(rel)
+            return propagate(rel, seeds, stride)
 
-        # find_* and decide_si's exact and propagation modes build their
-        # store in bcs; decide_si's refutation propagates in si
-        monkeypatch.setattr(bcs_module, "path_consistency", counted)
-        monkeypatch.setattr(si, "path_consistency", counted)
+        # find_* and decide_si's exact and propagation modes propagate in
+        # bcs; decide_si's refutation propagates in si
+        monkeypatch.setattr(bcs_module, "_propagate", counted)
+        monkeypatch.setattr(si, "_propagate", counted)
         bcs, _ = random_max_closed_bcs(random.Random(34), 5, 3)
         pref = Preference.from_relation({v.id: v.domain for v in bcs.variables},
                                         lambda a, b: a[1] >= b[1])
@@ -490,6 +494,24 @@ def test_refuted_agrees_with_propagating_the_augmented_structure():
             narrowed = intersect(fixed_point.pair(x, y), claim.complement())
             propagated += augmented.has_empty and not narrowed.is_everywhere_empty()
     assert propagated >= 10
+
+
+def test_refutation_decision_equals_propagating_the_augmented_structure():
+    # decide_si narrows the normalized store and queues every pair instead of
+    # building the augmented structure; self-pairs and structures whose own
+    # fixed point is empty are among the queries
+    answers, self_pairs = set(), 0
+    for rng, bcs, _, _ in _differential_structures():
+        pref = _random_pref(rng, bcs)
+        for x in (v.id for v in bcs.variables):
+            y, strict = rng.choice(bcs.variables).id, rng.random() < 0.5
+            claim = improvement_oc(x, y, pref, strict)
+            augmented = path_consistency(bcs.with_constraints([claim.complement()]))
+            verdict = decide_si(bcs, x, y, pref, strict, DecisionMode.REFUTATION)
+            assert verdict.yes == augmented.has_empty
+            answers.add(verdict.yes)
+            self_pairs += x == y
+    assert answers == {True, False} and self_pairs >= 20
 
 
 def test_find_si_equals_decisions_on_planted_structures():
