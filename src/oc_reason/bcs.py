@@ -23,15 +23,16 @@ Every claim is decided by one rule, ``_decide``, which asks whether the
 structure plus the claim's complement has a solution. A satisfying
 assignment already known to violate the claim answers no. Otherwise the rule
 narrows the claim's pair by the complement, and an empty result answers yes
-in every mode. Propagation answers no there (``derivable``). Exact mode
-searches a narrowed copy of the normalized store with the oracle
-(``implies``). Refutation descends through a narrowed copy of the fixed
-point's store; ``_descend`` is the search without its backtracking, one
-polynomial pass that may find a solution. Only when it gets stuck does
-refutation propagate the copy with the claim's pair alone queued, and then
-descend once more (``refuted``). ``path_consistency`` queues every pair of
-the normalized store. The worklist stops at the first relation it empties
-and empties the rest, which is the fixed point the full sweeps reach.
+in every mode. Propagation answers no there (``derivable``). The oracle is
+one walk, ``_walk``, that yields each solution and each dead end as it meets
+them. Exact mode walks a narrowed copy of the normalized store to its first
+solution (``implies``). Refutation walks a narrowed copy of the fixed
+point's store to its first event: until it first backtracks the walk is one
+polynomial greedy descent. Only at a dead end does refutation propagate the
+copy with the claim's pair alone queued, and then walk once more
+(``refuted``). ``path_consistency`` queues every pair of the normalized
+store. The worklist stops at the first relation it empties and empties the
+rest, which is the fixed point the full sweeps reach.
 """
 
 from __future__ import annotations
@@ -452,12 +453,13 @@ def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
 
 
 def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]:
-    """Backtracking enumeration of satisfying assignments.
+    """Backtracking enumeration of satisfying assignments: the solutions of
+    the oracle's walk, :func:`_walk`, in the order it finds them.
 
     Variables are assigned in listed order, values tried in domain order, with
     forward checking against all constraints touching assigned variables; the
     output order is deterministic. Returns at most `limit` assignments when
-    given. The search keeps an explicit stack, so its depth is not bounded by
+    given. The walk keeps an explicit stack, so its depth is not bounded by
     the recursion limit. This oracle deliberately uses no propagation-derived
     information: it reads the normalized relation store only.
     """
@@ -466,24 +468,28 @@ def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]
     return _search(bcs, _relation_store(bcs), limit)
 
 
-def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
-    """The oracle's search over the store ``rel`` of ``bcs``'s variables."""
+def _walk(bcs: Bcs, rel: _Store) -> Iterator[Assignment | None]:
+    """The oracle's search over the store ``rel`` of ``bcs``'s variables,
+    as events: each satisfying assignment when it is found, and None at
+    each dead end, where a variable has no value left and the walk
+    backtracks. Each variable, in listed order, takes its first remaining
+    value that leaves every later one a value consistent with the choices
+    so far. Until its first event the walk never backtracks, so that event
+    is one greedy descent, at most n^2 times the largest domain mask
+    operations."""
     n, stride = len(rel), bcs._stride
-    found: list[Assignment] = []
+    column, full = _pack([1] * stride, stride), (1 << stride) - 1
     chosen = [0] * n
     # stack[d][j] (j >= d): the values of variable j consistent with the
-    # values chosen for variables before d; stack[d][d] shrinks as tried
-    stack = [_domain_masks(rel, stride)]
+    # values chosen for variables before d; stack[d][d] shrinks as tried.
+    # The product moves diagonal bit x to (D - 1) * D + x.
+    stack = [[rel[i][i] * column >> (stride - 1) * stride & full for i in range(n)]]
     while stack:
         depth = len(stack) - 1
         masks = stack[depth]
-        if depth == n:
-            found.append(_assignment(bcs, chosen))
-            if limit is not None and len(found) >= limit:
-                break
-            stack.pop()
-            continue
-        if not masks[depth]:
+        if depth == n or not masks[depth]:
+            # a solution, or a dead end: this variable has no value left
+            yield _assignment(bcs, chosen) if depth == n else None
             stack.pop()
             continue
         x = (masks[depth] & -masks[depth]).bit_length() - 1
@@ -497,37 +503,17 @@ def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
                 break
         else:
             stack.append(nxt)
-    return found
+
+
+def _search(bcs: Bcs, rel: _Store, limit: int | None) -> list[Assignment]:
+    """The walk's first ``limit`` solutions, all of them when None."""
+    return list(itertools.islice(filter(None, _walk(bcs, rel)), limit))
 
 
 def _descend(bcs: Bcs, rel: _Store) -> Assignment | None:
-    """One greedy descent through ``rel`` without backtracking, in at most
-    n^2 times the largest domain mask operations: each variable, in listed
-    order, takes its first value that leaves every later one a value
-    consistent with the choices so far; None when some variable has none."""
-    n, stride = len(rel), bcs._stride
-    masks = _domain_masks(rel, stride)
-    chosen = []
-    for depth in range(n):
-        candidates = masks[depth]
-        while candidates:
-            x = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            row, shift = rel[depth], x * stride
-            later = [masks[j] & row[j] >> shift for j in range(depth + 1, n)]
-            if all(later):
-                break
-        else:
-            return None
-        chosen.append(x)
-        masks[depth + 1:] = later
-    return _assignment(bcs, chosen)
-
-
-def _domain_masks(rel: _Store, stride: int) -> list[int]:
-    """Each variable's live values: the product moves diagonal bit x to (D - 1) * D + x."""
-    column, full = _pack([1] * stride, stride), (1 << stride) - 1
-    return [rel[i][i] * column >> (stride - 1) * stride & full for i in range(len(rel))]
+    """The walk's first event: a solution reached without backtracking, or
+    None where the walk would first backtrack."""
+    return next(_walk(bcs, rel))
 
 
 def _assignment(bcs: Bcs, chosen: Sequence[int]) -> Assignment:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 import time
@@ -249,6 +250,9 @@ def cmd_gen(args, report) -> int:
             raise InputError("csp-to-si needs --source pointing at a BCS file")
         source, _ = serialize.load_bcs(args.source)
         inst = reductions.csp_to_si_games(source, perturb=args.perturb)
+        for g in inst.games:
+            if any(sep in g.name for sep in {"/", "\\", os.sep}):
+                raise InputError(f"game name {g.name!r} cannot name a file under --out")
         refs = {}
         for g in inst.games:
             emit(f"games/{g.name}.json", serialize.game_to_json(g))
@@ -369,7 +373,11 @@ def main(argv=None) -> int:
     report["exit_code"] = code
     report["timing"] = {"seconds": time.perf_counter() - start}
     if args.json:
-        serialize.write_json(args.json, report)
+        try:
+            serialize.write_json(args.json, report)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_ERROR
     return code
 
 

@@ -10,11 +10,10 @@ join table per variable over domain positions: orders become max tables,
 and label join tables are converted while their axioms are checked (by
 comparing up-sets). One scan tests a constraint's pairs two at a time by a
 bit of its rows, and names labels only in a witness. Hasse diagrams compile
-to join tables, and automorphism orbits are found, by the one bitmask
-closure `bcs._closure`. Order construction reruns `build_assumption_bcs`'s
-derivation, `assumptions._derive_constraints`, with one
-`assumptions._Searches` memo per call, to learn which assumption generated
-each constraint. It then orders the games in one breadth-first pass over
+to join tables by the one bitmask closure `bcs._closure`. Order construction
+reruns `build_assumption_bcs`'s derivation, `assumptions._derive_constraints`,
+with one `assumptions._Searches` memo per call, to learn which assumption
+generated each constraint. It then orders the games in one breadth-first pass over
 the isomorphism edges: from the decreasing-risk games first, then from each
 still unordered fully reduced game in list order, each reached game taking
 its parent's order carried across an isomorphism. Games with dominated
@@ -240,7 +239,8 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
 def _orbit_classes(game: NormalFormGame,
                    searches: asm._Searches) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Class key per profile: per-player orbits under the automorphism group,
-    each the closure of its actions' images, as a bitmask of actions."""
+    as bitmasks of actions. ``find_isomorphisms(g, g)`` returns the whole
+    group, closed under composition, so an action's images are its orbit."""
     autos = searches.isomorphisms(game, game)
     orbit_ids = []
     for i, acts in enumerate(game.actions):
@@ -248,7 +248,7 @@ def _orbit_classes(game: NormalFormGame,
         for auto in autos:
             for a, image in enumerate(auto.maps[i]):
                 rows[a] |= 1 << image
-        orbit_ids.append(_closure(rows))
+        orbit_ids.append(rows)
     return {p: tuple(orbit_ids[i][p[i]] for i in range(game.n_players))
             for p in game.profiles()}
 

@@ -13,6 +13,8 @@ Formats:
   BCS            {"variables": [{"id": "X", "domain": ["x1","x2"]}, ...],
                   "constraints": [{"x": "X", "y": "Y", "pairs": [["x1","y2"], ...]}],
                   "games": {"Gb": "gb.json" | {inline game}}}    (games optional)
+                 an attached game is named after its variable id; a name
+                 in the game object must still be a non-empty string.
   orders         {"orders": {"X": ["x2", "x1"]}}                 (ascending)
   semilattices   {"semilattices": {"W": {"edges": [["w2","w1"], ...]}}}
                  edges are (lower, upper); compiled to join tables by
@@ -63,6 +65,8 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _object(value, what: str) -> Mapping:
@@ -186,7 +190,8 @@ def bcs_to_json(bcs: Bcs, games: Mapping[str, object] | None = None) -> dict:
 def bcs_from_json(obj: Mapping, base_dir: str | Path | None = None
                   ) -> tuple[Bcs, dict[str, NormalFormGame]]:
     """Parse a BCS file; resolves any referenced game files (relative to
-    `base_dir`) or inline game objects and returns them keyed by variable id."""
+    `base_dir`) or inline game objects and returns them keyed by variable
+    id, each named after its variable id."""
     variables = tuple(Variable(_label(_field(v, "id", "variable"), "variable id"),
                                _labels(_field(v, "domain", "variable"), "variable domain"))
                       for v in _list(_field(obj, "variables", "BCS object"), "'variables'"))
@@ -204,10 +209,8 @@ def bcs_from_json(obj: Mapping, base_dir: str | Path | None = None
     for var_id, ref in _object(obj.get("games") or {}, "'games'").items():
         if isinstance(ref, str):
             # joining an absolute reference gives the reference
-            games[var_id] = load_game(Path(ref) if base is None else base / ref)
-        else:
-            ref = _object(ref, f"game of {var_id!r}")
-            games[var_id] = game_from_json(ref, name=ref.get("name") or var_id)
+            ref = read_json(Path(ref) if base is None else base / ref)
+        games[var_id] = game_from_json(_object(ref, f"game of {var_id!r}"), name=var_id)
     return Bcs(variables, tuple(constraints)), games
 
 

@@ -66,27 +66,28 @@ class Preference:
     claim that y improves on x. A query that compares two variables thus
     costs the comparisons of their blocks, not of every pair of outcomes
     across all variables. The strict relation is derived: a > b iff a >= b
-    and not b >= a. Reflexivity is checked at construction.
+    and not b >= a; ``geq`` and ``gt`` call ``compare`` on known outcome
+    keys, tabulating nothing. Reflexivity is checked at construction.
     """
 
     domains: Mapping[str, tuple[str, ...]]
     compare: Callable[[OutcomeKey, OutcomeKey], bool]
 
     def __post_init__(self):
-        object.__setattr__(self, "_position", {
-            var: {o: i for i, o in enumerate(dom)} for var, dom in self.domains.items()})
         object.__setattr__(self, "_blocks", {})
         for var, dom in self.domains.items():
             for o in dom:
                 if not self.compare((var, o), (var, o)):
                     raise InputError("preference must be reflexive")
 
-    def _at(self, key: OutcomeKey) -> tuple[str, int]:
+    def _known(self, key) -> OutcomeKey:
         try:
             var, label = key
-            return var, self._position[var][label]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"unknown outcome {key!r} in preference") from exc
+            if label in self.domains[var]:
+                return var, label
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise InputError(f"unknown outcome {key!r} in preference")
 
     def block(self, u: str, v: str) -> tuple[int, ...]:
         """For each outcome of u, the outcomes of v weakly preferred to it,
@@ -100,12 +101,11 @@ class Preference:
         return rows
 
     def geq(self, a: OutcomeKey, b: OutcomeKey) -> bool:
-        (u, i), (v, j) = self._at(a), self._at(b)
-        return bool(self.block(v, u)[j] >> i & 1)
+        return bool(self.compare(self._known(a), self._known(b)))
 
     def gt(self, a: OutcomeKey, b: OutcomeKey) -> bool:
-        (u, i), (v, j) = self._at(a), self._at(b)
-        return bool(self.block(v, u)[j] >> i & 1) and not self.block(u, v)[i] >> j & 1
+        a, b = self._known(a), self._known(b)
+        return bool(self.compare(a, b)) and not self.compare(b, a)
 
     @classmethod
     def from_relation(cls, domains: Mapping[str, tuple[str, ...]],

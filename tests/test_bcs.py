@@ -36,11 +36,14 @@ from oc_reason.bcs import (
     _decide,
     _descend,
     _narrow,
+    _pack,
     _refute,
     _relation_store,
+    _search,
     _store,
 )
-from conftest import affine_copy, brute_force_compose, coloring_bcs, with_dominated_row
+from conftest import (affine_copy, brute_force_compose, coloring_bcs, planted_bcs,
+                      with_dominated_row)
 
 
 def rel(src, tgt, sd, td, pairs):
@@ -358,7 +361,102 @@ class TestOracle:
                 assert s.satisfies(b)
 
 
+def reference_masks(rel, stride):
+    """Each variable's live values, read off the diagonal of the store."""
+    return [sum(1 << a for a in range(stride) if rel[i][i] >> a * (stride + 1) & 1)
+            for i in range(len(rel))]
+
+
+def reference_search(b, rel, limit):
+    """The oracle's search as its own explicit-stack loop, the reference for
+    the walk's view `_search`: solutions in order, at most `limit`."""
+    n, stride = len(rel), b._stride
+    found, chosen = [], [0] * n
+    stack = [reference_masks(rel, stride)]
+    while stack:
+        depth = len(stack) - 1
+        masks = stack[depth]
+        if depth == n:
+            found.append(Assignment({v.id: v.domain[x] for v, x in zip(b.variables, chosen)}))
+            if limit is not None and len(found) >= limit:
+                break
+            stack.pop()
+            continue
+        if not masks[depth]:
+            stack.pop()
+            continue
+        x = (masks[depth] & -masks[depth]).bit_length() - 1
+        masks[depth] &= masks[depth] - 1
+        chosen[depth] = x
+        nxt = list(masks)
+        row, shift = rel[depth], x * stride
+        for j in range(depth + 1, n):
+            nxt[j] = live = nxt[j] & row[j] >> shift
+            if not live:
+                break
+        else:
+            stack.append(nxt)
+    return found
+
+
+def reference_descend(b, rel):
+    """One greedy descent as its own loop, the reference for the walk's
+    view `_descend`: each variable takes its first value that leaves every
+    later one a value; None when some variable has none."""
+    n, stride = len(rel), b._stride
+    masks = reference_masks(rel, stride)
+    chosen = []
+    for depth in range(n):
+        candidates = masks[depth]
+        while candidates:
+            x = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            row, shift = rel[depth], x * stride
+            later = [masks[j] & row[j] >> shift for j in range(depth + 1, n)]
+            if all(later):
+                break
+        else:
+            return None
+        chosen.append(x)
+        masks[depth + 1:] = later
+    return Assignment({v.id: v.domain[x] for v, x in zip(b.variables, chosen)})
+
+
 class TestDescent:
+    def test_walk_views_equal_the_reference_loops(self):
+        # normalized and fixed-point stores, each also narrowed at a random
+        # pair as _decide narrows them, which often leaves a descent stuck
+        rng = random.Random(85)
+        structures = list(seeded_structures(83, 60)) + [Bcs.create([])]
+        structures += [planted_bcs(rng, rng.randint(5, 9)) for _ in range(40)]
+        structures += [coloring_bcs(rng, rng.randint(5, 9), 0.5) for _ in range(40)]
+        seen = Counter()
+        for b in structures:
+            for store in (_relation_store(b), path_consistency(b)._store):
+                stores = [store]
+                if len(store) > 1:
+                    x, y = rng.sample(b.variables, 2)
+                    claim = random_relation(rng, x.id, y.id, x.domain, y.domain, p=0.6)
+                    i, j = b.index(x.id), b.index(y.id)
+                    stores.append([list(row) for row in store])
+                    _narrow(stores[1], i, j, store[i][j] & ~_pack(claim.rows, b._stride),
+                            b._stride)
+                for rel in stores:
+                    for limit in (1, 3, None):
+                        found = _search(b, rel, limit)
+                        assert found == reference_search(b, rel, limit)
+                        if limit is not None:
+                            cut = len(reference_search(b, rel, None)) > limit
+                            seen[f"limit {limit} cut"] += cut
+                    descent = _descend(b, rel)
+                    assert descent == reference_descend(b, rel)
+                    seen["stuck, then solved"] += descent is None and bool(found)
+                    seen["no variables"] += not rel
+                    seen["all empty"] += bool(rel) and not rel[0][0]
+        assert seen["no variables"] == 2 and seen["all empty"] >= 40
+        assert seen["stuck, then solved"] >= 30
+        assert seen["limit 1 cut"] >= 200 and seen["limit 3 cut"] >= 200
+
     def test_forward_checks_and_never_backtracks(self):
         dom = ("a", "b")
         # X1 = a leaves X2 no value, so the descent takes X1 = b

@@ -211,6 +211,18 @@ class TestGen:
         assert main(["gen", "random-csp", "--density", "2", "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("var_id", ["a/../../../escape/x", "a\\..\\x"])
+    def test_csp_to_si_writes_nothing_for_a_path_in_a_variable_id(self, tmp_path, var_id,
+                                                                   capsys):
+        source = tmp_path / "src" / "source.json"
+        source.parent.mkdir()
+        serialize.write_json(source, {"variables": [{"id": var_id, "domain": ["a"]},
+                                                    {"id": "Y", "domain": ["a"]}]})
+        out = tmp_path / "src" / "out"
+        assert main(["gen", "csp-to-si", "--source", str(source), "--out", str(out)]) == 1
+        assert "cannot name a file under --out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["source.json", "src"]
+
 
 class TestCspToSiAgainstReferences:
     def test_dump_and_verdicts(self, tmp_path, capsys):
@@ -304,6 +316,39 @@ class TestGameNames:
         assert main(["assume", self.write(tmp_path, "g", name, gb), "--nash",
                      "--out", str(tmp_path / "out.json")]) == 1
         assert "game name must be a non-empty string" in capsys.readouterr().err
+
+
+class TestAttachedGameNames:
+    """A game attached to a variable is named after the variable id, so a
+    Pareto or player preference keys its outcomes by the structure's ids
+    whatever the game file calls the game."""
+
+    @staticmethod
+    def structure(tmp_path, refs):
+        g = chicken_trio()[1]
+        serialize.write_json(tmp_path / "foo.json", {**serialize.game_to_json(g), "name": "Foo"})
+        domain = list(g.outcome_labels())
+        path = tmp_path / "bcs.json"
+        serialize.write_json(path, {
+            "variables": [{"id": x, "domain": domain} for x in refs],
+            "constraints": [{"x": "X", "y": "Y", "pairs": [[o, o] for o in domain]}],
+            "games": refs})
+        return str(path)
+
+    @pytest.mark.parametrize("refs", [
+        pytest.param({"X": "foo.json", "Y": {**serialize.game_to_json(chicken_trio()[1]),
+                                              "name": "Bar"}}, id="names-differ-from-ids"),
+        pytest.param({"X": "foo.json", "Y": "foo.json"}, id="one-file-for-two-variables"),
+    ])
+    def test_preferences_key_outcomes_by_variable_id(self, tmp_path, refs, capsys):
+        path = self.structure(tmp_path, refs)
+        report = tmp_path / "report.json"
+        assert main(["--json", str(report), "check-si", path, "X", "Y", "--pref", "pareto"]) == 0
+        assert serialize.read_json(report)["verdict"] == "yes"
+        assert main(["--json", str(report), "find-si", path, "--pref", "player:1"]) == 0
+        assert serialize.read_json(report)["pairs"] == [["X", "Y"], ["Y", "X"]]
+        _, games = serialize.load_bcs(path)
+        assert {x: g.name for x, g in games.items()} == {"X": "X", "Y": "Y"}
 
 
 def test_every_option_has_help():

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -33,7 +34,7 @@ from oc_reason import (
 )
 from oc_reason import assumptions as asm
 from oc_reason import closedness
-from oc_reason.bcs import inverse
+from oc_reason.bcs import _closure, inverse
 from oc_reason.fixtures import stag_hunt_pair
 from oc_reason.games import _affine_key, find_isomorphisms, fully_reduce, is_fully_reduced
 from conftest import (affine_copy, permuted_copy, random_game, small_game, small_game_set,
@@ -801,6 +802,35 @@ class TestOrderPass:
                         transport_order_reference(src, dst, order, one)
                     transports[src.n_players] += 1
         assert min(transports.values()) >= 60, transports
+
+    def test_orbits_equal_the_closure_of_the_images(self):
+        # games whose payoffs depend only on the action differences mod m,
+        # relabelled: shifting every player's actions is an automorphism of
+        # order m, so one automorphism's images alone are not an orbit
+        rng = random.Random(64)
+        nontrivial = 0
+        for k in range(60):
+            players, m = rng.choice(((2, 3), (2, 4), (2, 5), (3, 3)))
+            values = {}
+            cyclic = NormalFormGame("G", tuple(tuple(f"p{i}a{a}" for a in range(m))
+                                               for i in range(players)), {
+                p: values.setdefault(tuple((q - p[0]) % m for q in p[1:]), tuple(
+                    Fraction(rng.randint(0, 3)) for _ in range(players)))
+                for p in itertools.product(range(m), repeat=players)})
+            game = permuted_copy(rng, cyclic, f"G{k}")
+            searches = asm._Searches()
+            autos = searches.isomorphisms(game, game)
+            orbits = []
+            for i, acts in enumerate(game.actions):
+                images = [1 << a for a in range(len(acts))]
+                for auto in autos:
+                    for a, image in enumerate(auto.maps[i]):
+                        images[a] |= 1 << image
+                orbits.append(_closure(images))
+            assert closedness._orbit_classes(game, searches) == {
+                p: tuple(orbits[i][a] for i, a in enumerate(p)) for p in game.profiles()}
+            nontrivial += sum(any(row & row - 1 for row in rows) for rows in orbits)
+        assert nontrivial >= 120
 
     def test_orders_equal_the_component_walk(self, game_sets):
         rng = random.Random(63)

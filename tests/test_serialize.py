@@ -99,6 +99,12 @@ class TestBcsFormat:
         with pytest.raises(InputError, match="line 1"):
             serialize.read_json(path)
 
+    def test_text_that_is_not_utf_8_names_the_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x7fELF\x02\xff")
+        with pytest.raises(InputError, match="binary.json: not UTF-8 text"):
+            serialize.read_json(path)
+
 
 class TestOrdersAndSemilattices:
     def test_orders_round_trip(self):
@@ -285,12 +291,24 @@ COORDINATION_BCS = {
                  id="random-csp-density-above-one"),
     pytest.param({}, ["gen", "random-csp", "--density", "-0.5", "--out", "out"],
                  id="random-csp-negative-density"),
+    pytest.param({"bcs.json": b"\x7fELF\x02\x01\x01\x00\x00\x00\xff\xfe"},
+                 ["propagate", "bcs.json"], id="structure-not-utf-8"),
+    pytest.param({"bcs.json": {**PAIR_BCS, "games": {"X": "g.json"}}, "g.json": b"\xff{}"},
+                 ["check-si", "bcs.json", "X", "Y", "--pref", "pareto"], id="game-not-utf-8"),
+    pytest.param({"bcs.json": COORDINATION_BCS, "pref.json": b"{\"kind\": \"\xe9\"}"},
+                 ["check-si", "bcs.json", "X", "Y", "--pref", "@pref.json"],
+                 id="preference-not-utf-8"),
+    pytest.param({}, ["--json", "missing/report.json", "gen", "montanari", "--out", "out"],
+                 id="report-into-a-missing-directory"),
 ])
 def test_malformed_input_exits_1_without_traceback(files, argv, tmp_path, monkeypatch, capsys):
     from oc_reason.cli import main
     monkeypatch.chdir(tmp_path)
     for name, obj in files.items():
-        serialize.write_json(name, obj)
+        if isinstance(obj, bytes):
+            (tmp_path / name).write_bytes(obj)
+        else:
+            serialize.write_json(name, obj)
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in out + err

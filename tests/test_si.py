@@ -173,6 +173,23 @@ class TestQueryScopedPreferences:
         assert kinds == {"pareto", "player", "relation", "explicit"}
         assert ties >= 100
 
+    def test_comparisons_call_compare_directly(self, trio):
+        # geq and gt read no block: one or two calls of compare, on the keys
+        domains = {g.name: g.outcome_labels() for g in trio}
+        calls = []
+
+        def compare(a, b):
+            calls.append((a, b))
+            return a[1] >= b[1]
+        pref = Preference.from_relation(domains, compare)
+        a, b = ("Gc", "E,E"), ("Ga", "C,C")
+        for ask, want, asked in ((pref.geq, True, [(a, b)]), (pref.gt, True, [(a, b), (b, a)]),
+                                 (pref.gt, False, [(b, a)])):
+            calls.clear()
+            x, y = asked[0]
+            assert ask(list(x), y) is want and calls == asked
+        assert pref._blocks == {}
+
     def test_unknown_outcomes_raise(self, trio):
         games = list(trio)
         domains = {g.name: g.outcome_labels() for g in games}
