@@ -10,22 +10,29 @@ Dominance, isomorphism and decreasing risk are per-player products: each
 action maps to a set of the other game's actions, and an outcome to the
 product of its actions' images. `_product_oc` builds all three.
 
-Each family's constraints are derived in `_derive_constraints` alone, which
-`closedness` also runs to learn which family generated each constraint. The
+Each family's constraints are derived in `_derive_constraints` alone. The
 `_Searches` memo there derives each game's one-round reduction and affine
-key (`games._affine_key`) once per call, and searches for isomorphisms, once
-per ordered pair, only between games of one shape whose players' primitives
-are equal: a positive affine map exists between no other pair.
+key (`games._affine_key`) once, and searches for isomorphisms, once per
+ordered pair, only between games of one shape whose players' primitives are
+equal: a positive affine map exists between no other pair.
+
+`closedness` must know which family generated each constraint, and
+`_constraint_records` tells it. A structure from `build_assumption_bcs`
+carries its derivation: the family and payload of each constraint, and the
+memo it searched with, for the very game objects it was built from. Any
+other structure, or the same one asked about other game objects, is
+classified by deriving every family again (`_classify`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .bcs import Bcs, Correspondence, Variable
+from .bcs import Bcs, Correspondence, Variable, inverse
 from .errors import InputError
 from .games import (
     Isomorphism,
@@ -340,6 +347,11 @@ def build_assumption_bcs(games: list[NormalFormGame],
     fully reduced games; pure-Nash self-loops where applicable; decreasing-risk
     constraints exactly for the supplied pairs. Multiple constraints on the
     same pair are kept separately.
+
+    The structure carries its derivation as a private attribute, not a field:
+    `orders_for_assumptions` reads it when given these same game objects in
+    this order, and nothing else sees it (equality, hashing, repr and JSON
+    are those of the variables and constraints alone).
     """
     if not games:
         raise InputError("need at least one game")
@@ -354,6 +366,57 @@ def build_assumption_bcs(games: list[NormalFormGame],
         if unknown:
             raise InputError(f"{key} names unknown games {unknown}")
 
-    variables = tuple(Variable(g.name, g.outcome_labels()) for g in games)
-    constraints = tuple(oc for _, oc, _ in _derive_constraints(games, selection, _Searches()))
-    return Bcs(variables, constraints)
+    searches = _Searches()
+    derived = list(_derive_constraints(games, selection, searches))
+    bcs = Bcs(tuple(Variable(g.name, g.outcome_labels()) for g in games),
+              tuple(oc for _, oc, _ in derived))
+    object.__setattr__(bcs, "_derivation", _Derivation(
+        tuple(games), tuple((kind, payload) for kind, _, payload in derived), searches))
+    return bcs
+
+
+class _Derivation(NamedTuple):
+    """What `build_assumption_bcs` derived a structure from: the games, the
+    (family, payload) record of each constraint and the search memo."""
+
+    games: tuple[NormalFormGame, ...]
+    records: tuple[tuple[str, object], ...]
+    searches: _Searches
+
+
+def _classify(games: list[NormalFormGame], bcs: Bcs,
+              searches: _Searches) -> Iterator[tuple[str, object]]:
+    """The (family, payload) record of each constraint of the structure, in
+    order: the first candidate that every family (decreasing risk under every
+    discovered labeling) generates over the games, or its inverse, matches.
+    Raises on reaching a constraint that matches no candidate."""
+    labelings = [lab for g1, g2 in itertools.permutations(games, 2)
+                 for lab in discover_risk_labelings(g1, g2)]
+    labelings += [lab for g in games for lab in discover_risk_labelings(g, g)]
+    everything = AssumptionSelection(dominance=True, isomorphism=True, nash=True,
+                                     decreasing_risk=tuple(labelings))
+    generated: dict[tuple, tuple[str, object]] = {}
+    for kind, oc, payload in _derive_constraints(games, everything, searches):
+        for cand in (oc, inverse(oc)):
+            generated.setdefault((cand.source, cand.target, cand.rows), (kind, payload))
+    for c in bcs.constraints:
+        matched = generated.get((c.source, c.target, c.rows))
+        if matched is None:
+            raise InputError(
+                f"constraint {c.source}->{c.target} was not generated by the assumption set")
+        yield matched
+
+
+def _constraint_records(games: Sequence[NormalFormGame],
+                        bcs: Bcs) -> tuple[Iterable[tuple[str, object]], _Searches]:
+    """The (family, payload) record of each constraint of the structure, and
+    a search memo over the games. The derivation `build_assumption_bcs`
+    attached answers when `games` holds the very objects, in order, that
+    built the structure; otherwise every family is derived again with a new
+    memo (`_classify`), whose records raise at a foreign constraint."""
+    derivation = getattr(bcs, "_derivation", None)
+    if derivation is not None and len(derivation.games) == len(games) and \
+            all(map(operator.is_, derivation.games, games)):
+        return derivation.records, derivation.searches
+    searches = _Searches()
+    return _classify(games, bcs, searches), searches

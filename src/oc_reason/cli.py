@@ -358,6 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.json:
+        # checked before the command runs, so that exit 1 means nothing was done
+        target = Path(args.json)
+        if target.is_dir() or not target.parent.is_dir():
+            problem = "is a directory" if target.is_dir() else "is not in an existing directory"
+            print(f"error: report path {args.json!r} {problem}", file=sys.stderr)
+            return EXIT_ERROR
     report = {
         "command": args.command,
         "argv": list(argv) if argv is not None else sys.argv[1:],

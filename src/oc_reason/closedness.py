@@ -11,13 +11,15 @@ and label join tables are converted while their axioms are checked (by
 comparing up-sets). One scan tests a constraint's pairs two at a time by a
 bit of its rows, and names labels only in a witness. Hasse diagrams compile
 to join tables by the one bitmask closure `bcs._closure`. Order construction
-reruns `build_assumption_bcs`'s derivation, `assumptions._derive_constraints`,
-with one `assumptions._Searches` memo per call, to learn which assumption
-generated each constraint. It then orders the games in one breadth-first pass over
-the isomorphism edges: from the decreasing-risk games first, then from each
-still unordered fully reduced game in list order, each reached game taking
-its parent's order carried across an isomorphism. Games with dominated
-actions come last, from their full reductions' orders."""
+learns which assumption generated each constraint from
+`assumptions._constraint_records`: the derivation `build_assumption_bcs`
+attached to the structure, with its search memo, or else a fresh derivation
+of every family over the games. It then orders the games in one
+breadth-first pass over the isomorphism edges: from the decreasing-risk
+games first, then from each still unordered fully reduced game in list
+order, each reached game taking its parent's order carried across an
+isomorphism. Games with dominated actions come last, from their full
+reductions' orders."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import assumptions as asm
-from .bcs import Bcs, Correspondence, _closure, _mutual, inverse
+from .bcs import Bcs, Correspondence, _closure, _mutual
 from .errors import InputError
 from .games import NormalFormGame, fully_reduce
 
@@ -295,31 +297,13 @@ def _risk_order(top: tuple[str, str], safe: tuple[str, str]) -> tuple[str, ...]:
     )
 
 
-def _classify_constraints(games: list[NormalFormGame], bcs: Bcs, searches: asm._Searches):
-    """Match each constraint of the structure to the first candidate that
-    every family (decreasing risk under every discovered labeling) generates
-    over the games, or to its inverse. Returns (risk orders by game,
-    isomorphism edges); raises when some constraint matches no candidate.
-    """
-    labelings = [lab for g1, g2 in itertools.permutations(games, 2)
-                 for lab in asm.discover_risk_labelings(g1, g2)]
-    labelings += [lab for g in games for lab in asm.discover_risk_labelings(g, g)]
-    everything = asm.AssumptionSelection(dominance=True, isomorphism=True, nash=True,
-                                         decreasing_risk=tuple(labelings))
-    generated: dict[tuple, tuple[str, object]] = {}
-    for kind, oc, payload in asm._derive_constraints(games, everything, searches):
-        for cand in (oc, inverse(oc)):
-            generated.setdefault((cand.source, cand.target, cand.rows), (kind, payload))
-
+def _risk_orders_and_edges(records: Iterable[tuple[str, object]]):
+    """The decreasing-risk order each risk record fixes, by game, and the
+    game-name pair of each isomorphism record; raises when two risk
+    records require different orders of one game."""
     risk_orders: dict[str, tuple[str, ...]] = {}
     iso_edges: list[tuple[str, str]] = []
-
-    for c in bcs.constraints:
-        matched = generated.get((c.source, c.target, c.rows))
-        if matched is None:
-            raise InputError(
-                f"constraint {c.source}->{c.target} was not generated by the assumption set")
-        kind, payload = matched
+    for kind, payload in records:
         if kind == "isomorphism":
             iso_edges.append(payload)
         elif kind == "risk":
@@ -344,6 +328,14 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
     actions inherit their full reduction's order on surviving outcomes with
     all eliminated outcomes placed below under a label-lexicographic
     tie-break.
+
+    Which assumption generated each constraint is read from the derivation
+    `build_assumption_bcs` attached to the structure, when `games` holds
+    the very objects, in the same order, that built it; its isomorphism
+    searches are then reused. Otherwise (a structure loaded from JSON or
+    made by `with_constraints`, or equal but distinct or reordered games)
+    every family is derived again over the games to classify the
+    constraints, and a constraint that none generates is an input error.
     """
     by_name = {g.name: g for g in games}
     if len(by_name) != len(games):
@@ -355,8 +347,8 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
         if v.domain != by_name[v.id].outcome_labels():
             raise InputError(f"domain of {v.id!r} does not match the game's outcomes")
 
-    searches = asm._Searches()
-    risk_orders, iso_edges = _classify_constraints(games, bcs, searches)
+    records, searches = asm._constraint_records(games, bcs)
+    risk_orders, iso_edges = _risk_orders_and_edges(records)
 
     orders: dict[str, tuple[str, ...]] = dict(risk_orders)
     reduced = [g for g in games if searches.reduced(g)]

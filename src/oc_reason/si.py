@@ -140,14 +140,25 @@ class Preference:
         return cls(dict(domains), lambda a, b: bool(rows[index[a]] >> index[b] & 1))
 
 
-def _outcome_payoffs(games: Sequence[NormalFormGame]) -> tuple[dict, dict]:
-    """Each game's outcome labels by name, and the payoff vector of every
-    outcome key; every profile is labelled once."""
-    domains, payoff = {}, {}
-    for g in games:
-        domains[g.name] = labels = g.outcome_labels()
-        payoff.update(((g.name, o), g.payoff(p)) for o, p in zip(labels, g.profiles()))
-    return domains, payoff
+class _Payoffs(dict):
+    """The payoff vector of each outcome label, by game name, for the listed
+    games: a game's outcomes are labelled and keyed on its first read, so a
+    query that compares two games reads only theirs."""
+
+    def __init__(self, games: Sequence[NormalFormGame]):
+        super().__init__()
+        self._games = {g.name: g for g in games}
+
+    def __missing__(self, name: str) -> dict:
+        g = self._games[name]
+        vectors = self[name] = dict(zip(g.outcome_labels(), map(g.payoff, g.profiles())))
+        return vectors
+
+
+def _outcome_payoffs(games: Sequence[NormalFormGame]) -> tuple[dict, _Payoffs]:
+    """Each game's outcome labels by name, and its payoff vectors by name
+    and label, filled per game on first read."""
+    return {g.name: g.outcome_labels() for g in games}, _Payoffs(games)
 
 
 def pareto_preference(games: Sequence[NormalFormGame]) -> Preference:
@@ -161,7 +172,7 @@ def pareto_preference(games: Sequence[NormalFormGame]) -> Preference:
     domains, payoff = _outcome_payoffs(games)
 
     def geq(a, b):
-        return a == b or all(x >= y for x, y in zip(payoff[a], payoff[b]))
+        return a == b or all(x >= y for x, y in zip(payoff[a[0]][a[1]], payoff[b[0]][b[1]]))
 
     return Preference.from_relation(domains, geq)
 
@@ -175,7 +186,7 @@ def player_preference(games: Sequence[NormalFormGame], player: int) -> Preferenc
                              f"{g.n_players} players")
     domains, payoff = _outcome_payoffs(games)
     return Preference.from_relation(
-        domains, lambda a, b: a == b or payoff[a][player] >= payoff[b][player])
+        domains, lambda a, b: a == b or payoff[a[0]][a[1]][player] >= payoff[b[0]][b[1]][player])
 
 
 def improvement_oc(x: str, y: str, pref: Preference, strict: bool) -> Correspondence:

@@ -1,6 +1,8 @@
 """Closedness verification, order search, and certifying-order construction."""
 
+import collections
 import itertools
+import json
 import random
 import re
 import sys
@@ -33,7 +35,7 @@ from oc_reason import (
     validate_join_family,
 )
 from oc_reason import assumptions as asm
-from oc_reason import closedness
+from oc_reason import closedness, serialize
 from oc_reason.bcs import _closure, inverse
 from oc_reason.fixtures import stag_hunt_pair
 from oc_reason.games import _affine_key, find_isomorphisms, fully_reduce, is_fully_reduced
@@ -520,7 +522,7 @@ def random_game_set(rng, stag_pair):
 
 
 def classify_reference(games, bcs):
-    """The candidate scan that `closedness._classify_constraints` replaced:
+    """The candidate scan that `assumptions._classify` replaced:
     every candidate re-derived family by family, then each constraint
     compared with each candidate and its inverse in turn, the first match
     winning."""
@@ -660,7 +662,8 @@ class TestClassifyConstraints:
                       Bcs(bcs.variables, tuple(inverse(c) for c in bcs.constraints)), *subsets,
                       discovered]:
                 got = self.outcome(
-                    lambda gs, b: closedness._classify_constraints(gs, b, asm._Searches()),
+                    lambda gs, b: closedness._risk_orders_and_edges(
+                        asm._classify(gs, b, asm._Searches())),
                     games, b)
                 assert got == self.outcome(classify_reference, games, b)
                 outcomes.append(got)
@@ -726,7 +729,8 @@ def orders_reference(games, bcs, parents=None):
         if v.domain != by_name[v.id].outcome_labels():
             raise InputError(f"domain of {v.id!r} does not match the game's outcomes")
     searches = asm._Searches()
-    risk_orders, iso_edges = closedness._classify_constraints(games, bcs, searches)
+    risk_orders, iso_edges = closedness._risk_orders_and_edges(
+        asm._classify(games, bcs, searches))
     orders = dict(risk_orders)
     reduced = [g for g in games if searches.reduced(g)]
     neighbors = {g.name: set() for g in reduced}
@@ -907,9 +911,22 @@ class TestSearchesOncePerCall:
     def test_orders_for_assumptions(self, game_set, monkeypatch):
         import oc_reason.assumptions as asm
         games, selection = game_set
-        bcs = build_assumption_bcs(games, selection)
+        # a copy without the attached derivation: classification searches
+        built = build_assumption_bcs(games, selection)
+        bcs = Bcs(built.variables, built.constraints)
         searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
         reductions = _record_calls(monkeypatch, "one_round_reduction", (asm,))
+        orders = orders_for_assumptions(games, bcs)
+        assert is_max_closed(bcs, orders).closed
+        assert ("Gb", "Gc") in searches and ("Gb", "Gb") in searches
+        assert len(searches) == len(set(searches))
+        assert sorted(reductions) == sorted({(g.name,) for g in games})
+
+    def test_build_then_order_shares_one_memo(self, game_set, monkeypatch):
+        games, selection = game_set
+        searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
+        reductions = _record_calls(monkeypatch, "one_round_reduction", (asm,))
+        bcs = build_assumption_bcs(games, selection)
         orders = orders_for_assumptions(games, bcs)
         assert is_max_closed(bcs, orders).closed
         assert ("Gb", "Gc") in searches and ("Gb", "Gb") in searches
@@ -958,3 +975,103 @@ class TestSearchesOncePerCall:
             "CO": ("A,A", "A,B", "B,A", "B,B"),
             "Ga": ("C',C", "C',D", "C,C", "C,D", "D,C", "D,D"),
         }
+
+
+def derivation_cases(trio, stag_pair, coordination):
+    """(games, selection) pairs: the memo fixture's set, 4x4 sets with a
+    dominated row, random sets with decreasing-risk pairs under every family
+    and under isomorphism-pair and Nash-game restrictions, and 3-player sets."""
+    rng = random.Random(81)
+    ga, gb, gc = trio
+    left, right, labeling = stag_pair
+    every = AssumptionSelection(dominance=True, isomorphism=True, nash=True)
+    yield ([ga, gb, gc, affine_copy(random.Random(43), gc, "Gd"), left, right, coordination],
+           AssumptionSelection(dominance=True, isomorphism=True, nash=True,
+                               decreasing_risk=(labeling,)))
+
+    def game(name, rows, cols):
+        return NormalFormGame.two_player(
+            name, [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)],
+            [[(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(cols)] for _ in range(rows)])
+
+    for _ in range(4):
+        base = game("B", 4, 4)
+        yield [base, affine_copy(rng, base, "C"), game("U", 4, 4),
+               with_dominated_row(rng, base, "D")], every
+    for _ in range(12):
+        games, risk = random_game_set(rng, stag_pair)
+        names = [g.name for g in games]
+        yield games, AssumptionSelection(dominance=True, isomorphism=True, nash=True,
+                                         decreasing_risk=risk)
+        yield games, AssumptionSelection(
+            isomorphism=True, nash=True, decreasing_risk=risk,
+            isomorphism_pairs=tuple(p for p in itertools.combinations(names, 2)
+                                    if rng.random() < 0.5),
+            nash_games=tuple(n for n in names if rng.random() < 0.5))
+    for _ in range(8):
+        yield small_game_set(rng, 3), every
+
+
+class TestAttachedDerivation:
+    """Orders read from the derivation `build_assumption_bcs` attaches
+    against orders from classifying the constraints again."""
+
+    @pytest.fixture
+    def cases(self, trio, stag_pair, coordination):
+        return list(derivation_cases(trio, stag_pair, coordination))
+
+    @pytest.fixture
+    def classified(self, monkeypatch):
+        """The structures `assumptions._classify` is called on."""
+        calls = []
+        original = asm._classify
+
+        def recording(games, bcs, searches):
+            calls.append(bcs)
+            return original(games, bcs, searches)
+
+        monkeypatch.setattr(asm, "_classify", recording)
+        return calls
+
+    def test_attached_orders_equal_classified_orders(self, cases, classified):
+        families = collections.Counter()
+        for games, selection in cases:
+            bcs = build_assumption_bcs(games, selection)
+            attached = orders_for_assumptions(games, bcs)
+            assert classified == []
+            plain = Bcs(bcs.variables, bcs.constraints)
+            assert orders_for_assumptions(games, plain) == attached
+            assert len(classified) == 1 and classified.pop() is plain
+            assert tuple(asm._classify(games, plain, asm._Searches())) == \
+                bcs._derivation.records
+            classified.clear()
+            for b in (bcs, plain):
+                assert is_max_closed(b, attached).closed
+                assert is_join_closed(b, joins_from_orders(b, attached)).closed
+            families.update(kind for kind, _ in bcs._derivation.records)
+        assert min(families[k] for k in ("dominance", "isomorphism", "nash", "risk")) >= 5
+
+    def test_other_structures_and_game_lists_are_classified(self, cases, classified):
+        games, selection = cases[0]
+        bcs = build_assumption_bcs(games, selection)
+        attached = orders_for_assumptions(games, bcs)
+        loaded, _ = serialize.bcs_from_json(json.loads(serialize.dumps(serialize.bcs_to_json(bcs))))
+        twins = [NormalFormGame(g.name, g.actions, g.utilities) for g in games]
+        for gs, b in [(games, loaded), (games, bcs.with_constraints(())), (twins, bcs)]:
+            assert orders_for_assumptions(gs, b) == attached
+            assert len(classified) == 1 and classified.pop() is b
+        orders = orders_for_assumptions(games[::-1], bcs)
+        assert len(classified) == 1 and classified.pop() is bcs
+        assert is_max_closed(bcs, orders).closed
+        x, y = bcs.variables[0], bcs.variables[-1]
+        foreign = Correspondence.full(x.id, y.id, x.domain, y.domain)
+        with pytest.raises(InputError, match="was not generated by the assumption set"):
+            orders_for_assumptions(games, bcs.with_constraints([foreign]))
+
+    def test_derivation_is_not_part_of_the_structure(self, cases):
+        for games, selection in cases:
+            bcs = build_assumption_bcs(games, selection)
+            plain = Bcs(bcs.variables, bcs.constraints)
+            assert bcs == plain and hash(bcs) == hash(plain) and repr(bcs) == repr(plain)
+            assert serialize.dumps(serialize.bcs_to_json(bcs)) == \
+                serialize.dumps(serialize.bcs_to_json(plain))

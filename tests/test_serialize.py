@@ -300,6 +300,8 @@ COORDINATION_BCS = {
                  id="preference-not-utf-8"),
     pytest.param({}, ["--json", "missing/report.json", "gen", "montanari", "--out", "out"],
                  id="report-into-a-missing-directory"),
+    pytest.param({}, ["--json", ".", "gen", "montanari", "--out", "out"],
+                 id="report-onto-a-directory"),
 ])
 def test_malformed_input_exits_1_without_traceback(files, argv, tmp_path, monkeypatch, capsys):
     from oc_reason.cli import main
@@ -312,3 +314,6 @@ def test_malformed_input_exits_1_without_traceback(files, argv, tmp_path, monkey
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in out + err
+    # nothing was written: a report path is checked before the command runs
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+

@@ -1,5 +1,7 @@
 """Preferences, improvement correspondences, and the three decision modes."""
 
+import collections
+import itertools
 import random
 import re
 
@@ -11,6 +13,7 @@ from oc_reason import (
     Correspondence,
     DecisionMode,
     InputError,
+    NormalFormGame,
     Preference,
     build_assumption_bcs,
     csp_to_si_games,
@@ -33,14 +36,13 @@ from oc_reason import (
 from oc_reason import si
 from oc_reason.cli import main
 from oc_reason.fixtures import single_outcome_game
-from conftest import coloring_bcs, planted_bcs, random_game
+from conftest import coloring_bcs, permuted_copy, planted_bcs, random_game, small_game
 
 
 @pytest.fixture
 def table2_games():
     """The degenerate 2x2 base game and the one-outcome improver used by the
     hardness construction."""
-    from oc_reason import NormalFormGame
     base = NormalFormGame.two_player("G", ("a1", "a2"), ("a1", "a2"),
                                      [[(4, 0), (0, 0)], [(0, 0), (2, 1)]])
     return base, single_outcome_game("Gp", (3, 2))
@@ -64,7 +66,6 @@ class TestPreferences:
         assert not pref.geq(("Gp", "a1,a1"), ("G", "a1,a1"))
 
     def test_player_count_mismatch(self, trio):
-        from oc_reason import NormalFormGame
         three = NormalFormGame.create(
             "T", [["a"], ["b"], ["c"]], {("a", "b", "c"): (0, 0, 0)})
         with pytest.raises(InputError):
@@ -172,6 +173,44 @@ class TestQueryScopedPreferences:
                     ties += a != b and ref(a, b) and ref(b, a)
         assert kinds == {"pareto", "player", "relation", "explicit"}
         assert ties >= 100
+
+    def test_payoffs_are_read_per_game_on_first_comparison(self, monkeypatch):
+        # ties (payoffs 0..2), rational payoffs (affine permuted copies) and
+        # 3-player games; a claim on x and y reads x's and y's payoffs once
+        rng = random.Random(73)
+        original, read = NormalFormGame.payoff, collections.Counter()
+
+        def payoff(game, profile):
+            read[game.name] += 1
+            return original(game, profile)
+        monkeypatch.setattr(NormalFormGame, "payoff", payoff)
+        ties = 0
+        for k in range(60):
+            players = 2 + k % 2
+            games = [small_game(rng, f"G{i}", players) for i in range(rng.randint(2, 4))]
+            games += [permuted_copy(rng, rng.choice(games), f"P{i}") for i in range(2)]
+            vector = {(g.name, g.profile_label(p)): original(g, p)
+                      for g in games for p in g.profiles()}
+            domains = {g.name: g.outcome_labels() for g in games}
+            i = rng.randrange(players)
+            for make, geq in (
+                    (lambda: pareto_preference(games),
+                     lambda a, b: all(u >= v for u, v in zip(vector[a], vector[b]))),
+                    (lambda: player_preference(games, i),
+                     lambda a, b: vector[a][i] >= vector[b][i])):
+                read.clear()
+                pref, ref = make(), eager_reference(domains, geq)
+                assert not read
+                x, y = rng.sample(list(domains), 2)
+                for strict in (False, True):
+                    assert improvement_oc(x, y, pref, strict).rows == \
+                        reference_claim(domains, ref, x, y, strict).rows
+                assert read == {x: len(domains[x]), y: len(domains[y])}
+                for u, v in itertools.product(domains, repeat=2):
+                    assert pref.block(u, v) == reference_claim(domains, ref, u, v, False).rows
+                ties += sum(ref(a, b) and ref(b, a) for a in itertools.product([x], domains[x])
+                            for b in itertools.product([y], domains[y]))
+        assert ties >= 50
 
     def test_comparisons_call_compare_directly(self, trio):
         # geq and gt read no block: one or two calls of compare, on the keys
