@@ -8,7 +8,8 @@ into a binary constraint structure with one variable per game.
 
 Dominance, isomorphism and decreasing risk are per-player products: each
 action maps to a set of the other game's actions, and an outcome to the
-product of its actions' images. `_product_oc` builds all three.
+product of its actions' images. `_product_oc` builds all three. A dominance
+constraint is built straight onto each listed game equal to the reduction.
 
 Each family's constraints are derived in `_derive_constraints` alone. The
 `_Searches` memo there derives each game's one-round reduction and affine
@@ -104,18 +105,18 @@ def oc_dominance(game: NormalFormGame) -> tuple[NormalFormGame, Correspondence]:
     correspondence: surviving outcomes map to themselves, outcomes using an
     eliminated action map to nothing. Games without dominated actions get the
     identity correspondence on themselves unchanged."""
-    return _oc_dominance(game, one_round_reduction(game)[0])
-
-
-def _oc_dominance(game: NormalFormGame,
-                  sub: NormalFormGame) -> tuple[NormalFormGame, Correspondence]:
-    """`oc_dominance` from the game's one-round reduction `sub`, which is
-    `game` itself when no action is dominated."""
+    sub = one_round_reduction(game)[0]
     if sub is game:
         return game, Correspondence.identity(game.name, game.outcome_labels())
     sub = NormalFormGame(game.name + "_reduced", sub.actions, sub.utilities)
-    return sub, _product_oc(game, sub, [[(kept.index(a),) if a in kept else () for a in acts]
-                                        for acts, kept in zip(game.actions, sub.actions)])
+    return sub, _product_oc(game, sub, _survivor_images(game, sub))
+
+
+def _survivor_images(game: NormalFormGame, sub: NormalFormGame):
+    """Per player, each action's index in the reduction `sub`, or none when
+    it was eliminated: the images `_product_oc` takes onto `sub`."""
+    return [[(kept.index(a),) if a in kept else () for a in acts]
+            for acts, kept in zip(game.actions, sub.actions)]
 
 
 def oc_isomorphism(g1: NormalFormGame, g2: NormalFormGame) -> Correspondence | None:
@@ -143,7 +144,7 @@ def _oc_isomorphism(g1: NormalFormGame, g2: NormalFormGame,
 
 def oc_nash(game: NormalFormGame) -> Correspondence:
     """Self-loop correspondence keeping exactly the pure Nash equilibria."""
-    oc = _oc_nash(game, pure_nash_equilibria(game))
+    oc = _oc_nash(game)
     if oc is None:
         raise InputError(
             f"game {game.name!r} has no pure Nash equilibrium; "
@@ -151,8 +152,9 @@ def oc_nash(game: NormalFormGame) -> Correspondence:
     return oc
 
 
-def _oc_nash(game: NormalFormGame, equilibria) -> Correspondence | None:
-    """`oc_nash` from the game's pure equilibria; None when there are none."""
+def _oc_nash(game: NormalFormGame) -> Correspondence | None:
+    """`oc_nash`, or None when the game has no pure equilibrium."""
+    equilibria = pure_nash_equilibria(game)
     if not equilibria:
         return None
     dom = game.outcome_labels()
@@ -192,24 +194,15 @@ def _risk_preconditions(g1: NormalFormGame, g2: NormalFormGame,
 
     # payoff inequalities: the top action only becomes more attractive, the
     # safe action only less, for both players against both labeled opponents
-    for i in (0, 1):
-        for k, opp in ((1, "top"), (2, "safe")):
-            o1 = (t1 if k == 1 else s1)[1 - i]
-            o2 = (t2 if k == 1 else s2)[1 - i]
-            prof1_top = (t1[0], o1) if i == 0 else (o1, t1[1])
-            prof2_top = (t2[0], o2) if i == 0 else (o2, t2[1])
-            if g2.payoff_of(prof2_top, i) < g1.payoff_of(prof1_top, i):
-                raise InputError(
-                    f"inequality failed: player {i + 1} top-action payoff against the "
-                    f"{opp} opponent action is {g2.payoff_of(prof2_top, i)} in "
-                    f"{g2.name!r}, below {g1.payoff_of(prof1_top, i)} in {g1.name!r}")
-            prof1_safe = (s1[0], o1) if i == 0 else (o1, s1[1])
-            prof2_safe = (s2[0], o2) if i == 0 else (o2, s2[1])
-            if g2.payoff_of(prof2_safe, i) > g1.payoff_of(prof1_safe, i):
-                raise InputError(
-                    f"inequality failed: player {i + 1} safe-action payoff against the "
-                    f"{opp} opponent action is {g2.payoff_of(prof2_safe, i)} in "
-                    f"{g2.name!r}, above {g1.payoff_of(prof1_safe, i)} in {g1.name!r}")
+    labeled = (("top", t1, t2), ("safe", s1, s2))
+    for i, (opp, o1, o2), (role, a1, a2) in itertools.product((0, 1), labeled, labeled):
+        u1, u2 = (g.payoff_of((a[0], o[1]) if i == 0 else (o[0], a[1]), i)
+                  for g, a, o in ((g1, a1, o1), (g2, a2, o2)))
+        if u2 < u1 if role == "top" else u2 > u1:
+            raise InputError(
+                f"inequality failed: player {i + 1} {role}-action payoff against the "
+                f"{opp} opponent action is {u2} in {g2.name!r}, "
+                f"{'below' if role == 'top' else 'above'} {u1} in {g1.name!r}")
     return (t1, s1), (t2, s2)
 
 
@@ -301,13 +294,13 @@ def _derive_constraints(games: list[NormalFormGame], selection: AssumptionSelect
         for g in games:
             if g.name not in allowed:
                 continue
-            sub, oc = _oc_dominance(g, searches.reduction(g))
-            if sub.same_payoffs(g):
+            sub = searches.reduction(g)
+            if sub is g:
                 continue
+            images = _survivor_images(g, sub)
             for other in games:
-                if other.name != g.name and other.same_payoffs(sub):
-                    yield "dominance", Correspondence(
-                        g.name, other.name, oc.source_domain, oc.target_domain, oc.rows), None
+                if other.same_payoffs(sub):    # never g, which has more actions
+                    yield "dominance", _product_oc(g, other, images), None
 
     if selection.isomorphism:
         allowed_pairs = None
@@ -325,7 +318,7 @@ def _derive_constraints(games: list[NormalFormGame], selection: AssumptionSelect
     if selection.nash:
         allowed = set(names if selection.nash_games is None else selection.nash_games)
         for g in games:
-            oc = _oc_nash(g, pure_nash_equilibria(g)) if g.name in allowed else None
+            oc = _oc_nash(g) if g.name in allowed else None
             if oc is not None:
                 yield "nash", oc, None
 

@@ -165,7 +165,7 @@ def cmd_closedness(args, report) -> int:
             report["dumped"] = str(args.dump)
         print("max-closed under a found order family")
         for var, order in found.items():
-            print(f"  {var}: {' < '.join(order)}")
+            print(f"  {var}: {' < '.join(map(str, order))}")
         return EXIT_OK
     orders, joins = _load_certificates(args, bcs)
     if orders is not None:

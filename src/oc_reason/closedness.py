@@ -18,8 +18,9 @@ of every family over the games. It then orders the games in one
 breadth-first pass over the isomorphism edges: from the decreasing-risk
 games first, then from each still unordered fully reduced game in list
 order, each reached game taking its parent's order carried across an
-isomorphism. Games with dominated actions come last, from their full
-reductions' orders."""
+isomorphism. Such a root's own order is its identity transport: its sorted
+labels carried across the first automorphism, which is the identity. Games
+with dominated actions come last, from their full reductions' orders."""
 
 from __future__ import annotations
 
@@ -255,20 +256,15 @@ def _orbit_classes(game: NormalFormGame,
             for p in game.profiles()}
 
 
-def _own_class_order(game: NormalFormGame, searches: asm._Searches) -> tuple[str, ...]:
-    """Outcome equivalence classes, each sorted by label, classes sorted by
-    their lexicographically smallest member label."""
-    blocks: dict[tuple[int, ...], list[str]] = {}
-    for profile, key in _orbit_classes(game, searches).items():
-        blocks.setdefault(key, []).append(game.profile_label(profile))
-    return tuple(label for block in sorted(map(sorted, blocks.values())) for label in block)
-
-
 def _transport_order(src: NormalFormGame, dst: NormalFormGame,
                      src_order: Sequence[str], searches: asm._Searches) -> tuple[str, ...]:
     """Carry a class-contiguous outcome order across an isomorphism: the class
     sequence is mapped through (any) isomorphism, members sorted by label.
-    A class is a product of per-player orbits, and so is its image."""
+    A class is a product of per-player orbits, and so is its image.
+
+    From a game to itself the first isomorphism is the identity, so the
+    sorted labels give the game's own order: classes by smallest member
+    label, members sorted."""
     isos = searches.isomorphisms(src, dst)
     if not isos:
         raise InputError(f"no isomorphism from {src.name!r} to {dst.name!r}")
@@ -324,7 +320,8 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
 
     Decreasing-risk games get the fixed coordination order, isomorphic games
     are ordered isomorphically (class-contiguously), remaining fully reduced
-    games by automorphism equivalence classes, and games with dominated
+    games by automorphism equivalence classes (a root's order is its
+    identity transport, see `_transport_order`), and games with dominated
     actions inherit their full reduction's order on surviving outcomes with
     all eliminated outcomes placed below under a label-lexicographic
     tie-break.
@@ -369,7 +366,7 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
     spread()
     for g in reduced:
         if g.name not in orders:
-            orders[g.name] = _own_class_order(g, searches)
+            orders[g.name] = _transport_order(g, g, sorted(g.outcome_labels()), searches)
             queue.append(g)
             spread()
 

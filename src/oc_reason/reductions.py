@@ -115,7 +115,7 @@ def csp_to_si_games(source: Bcs, perturb: bool = False) -> SiHardnessInstance:
     designated pair can ever be in an improvement relation.
     """
     n = len(source.variables)
-    max_k = max(len(v.domain) for v in source.variables)
+    max_k = max((len(v.domain) for v in source.variables), default=0)
     scale_base = 8 + 2 * (max_k + n)
     eps = Fraction(1, 4 * (n + 1))
 

@@ -27,7 +27,9 @@ strict one, while ``find_any_si`` reads every block, as eager tabulation did.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -140,25 +142,23 @@ class Preference:
         return cls(dict(domains), lambda a, b: bool(rows[index[a]] >> index[b] & 1))
 
 
-class _Payoffs(dict):
-    """The payoff vector of each outcome label, by game name, for the listed
-    games: a game's outcomes are labelled and keyed on its first read, so a
-    query that compares two games reads only theirs."""
+def _payoff_preference(games: Sequence[NormalFormGame], players: Sequence[int]) -> Preference:
+    """Componentwise comparison of the listed players' payoffs across the
+    games. A game's payoff tuples are keyed by outcome label on its first
+    read, so a query that compares two games reads only theirs; an outcome
+    is at least as good as itself before any payoff is read."""
+    by_name = {g.name: g for g in games}
 
-    def __init__(self, games: Sequence[NormalFormGame]):
-        super().__init__()
-        self._games = {g.name: g for g in games}
+    @functools.cache
+    def payoffs(name: str) -> dict[str, tuple]:
+        g = by_name[name]
+        return {label: tuple(vector[i] for i in players)
+                for label, vector in zip(g.outcome_labels(), map(g.payoff, g.profiles()))}
 
-    def __missing__(self, name: str) -> dict:
-        g = self._games[name]
-        vectors = self[name] = dict(zip(g.outcome_labels(), map(g.payoff, g.profiles())))
-        return vectors
+    def geq(a, b):
+        return a == b or all(map(operator.ge, payoffs(a[0])[a[1]], payoffs(b[0])[b[1]]))
 
-
-def _outcome_payoffs(games: Sequence[NormalFormGame]) -> tuple[dict, _Payoffs]:
-    """Each game's outcome labels by name, and its payoff vectors by name
-    and label, filled per game on first read."""
-    return {g.name: g.outcome_labels() for g in games}, _Payoffs(games)
+    return Preference.from_relation({g.name: g.outcome_labels() for g in games}, geq)
 
 
 def pareto_preference(games: Sequence[NormalFormGame]) -> Preference:
@@ -169,12 +169,7 @@ def pareto_preference(games: Sequence[NormalFormGame]) -> Preference:
     counts = {g.n_players for g in games}
     if len(counts) > 1:
         raise InputError("games with different player counts are not Pareto-comparable")
-    domains, payoff = _outcome_payoffs(games)
-
-    def geq(a, b):
-        return a == b or all(x >= y for x, y in zip(payoff[a[0]][a[1]], payoff[b[0]][b[1]]))
-
-    return Preference.from_relation(domains, geq)
+    return _payoff_preference(games, range(counts.pop() if counts else 0))
 
 
 def player_preference(games: Sequence[NormalFormGame], player: int) -> Preference:
@@ -184,9 +179,7 @@ def player_preference(games: Sequence[NormalFormGame], player: int) -> Preferenc
         if not 0 <= player < g.n_players:
             raise InputError(f"no player {player + 1} in game {g.name!r}: it has "
                              f"{g.n_players} players")
-    domains, payoff = _outcome_payoffs(games)
-    return Preference.from_relation(
-        domains, lambda a, b: a == b or payoff[a[0]][a[1]][player] >= payoff[b[0]][b[1]][player])
+    return _payoff_preference(games, (player,))
 
 
 def improvement_oc(x: str, y: str, pref: Preference, strict: bool) -> Correspondence:
@@ -270,13 +263,7 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     narrows the normalized store at (x, y) by the claim's complement and
     queues every pair, which is ``path_consistency`` of the structure plus
     that complement without building it. Deciding on the fixed point, as
-    the other modes and ``find_*`` do, would propagate twice. On perfbench's
-    27 csp-encoded instances (seed 7, one Xeon core, Python 3.11, packed
-    relation store) one decision took a median 12.7 ms this way and 20.1 to
-    20.6 ms that way, over two runs. Re-timed on the same instances after
-    the augmented structure gave way to the narrowed store (unscaled, one
-    core of a 2-vCPU VM): 4.4 ms this way, as with the augmented structure,
-    and 7.4 ms that way.
+    the other modes and ``find_*`` do, would propagate twice.
     """
     claim = _claim(bcs, x, y, pref, strict)
     certified = verify_certificate(bcs, mode, orders, joins)

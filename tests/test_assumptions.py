@@ -240,6 +240,13 @@ def dominance_reference(game):
     return sub, Correspondence.from_pairs(game.name, sub.name, source_dom, target_dom, pairs)
 
 
+def dominance_onto_reference(game, other, _images):
+    """`dominance_reference`'s correspondence, carried onto the listed game
+    `other` that equals the reduction."""
+    ref = dominance_reference(game)[1]
+    return Correspondence(game.name, other.name, ref.source_domain, ref.target_domain, ref.rows)
+
+
 def isomorphism_reference(g1, g2, isos):
     """The label-pair builder that `_oc_isomorphism` replaced."""
     if not isos:
@@ -313,7 +320,9 @@ class TestProductBuilders:
                     AssumptionSelection(dominance=True, nash=True)):
                 got = serialize.bcs_to_json(build_assumption_bcs(games, selection))
                 with monkeypatch.context() as m:
-                    m.setattr(asm, "_oc_dominance", lambda g, _sub: dominance_reference(g))
+                    # with the other two families replaced, only dominance
+                    # builds products, each onto a listed copy of the reduction
+                    m.setattr(asm, "_product_oc", dominance_onto_reference)
                     m.setattr(asm, "_oc_isomorphism", isomorphism_reference)
                     m.setattr(asm, "oc_decreasing_risk", decreasing_risk_reference)
                     assert got == serialize.bcs_to_json(build_assumption_bcs(games, selection))

@@ -183,6 +183,15 @@ class TestClosedness:
                      "--joins", str(bad)])
         assert code == 1
 
+    def test_search_prints_non_string_labels(self, tmp_path, capsys):
+        structure, report = tmp_path / "ints.json", tmp_path / "report.json"
+        serialize.write_json(structure, {
+            "variables": [{"id": "X", "domain": [1, 2]}, {"id": "Y", "domain": [2, 1]}],
+            "constraints": [{"x": "X", "y": "Y", "pairs": [[1, 2], [2, 1]]}]})
+        assert main(["--json", str(report), "closedness", str(structure), "--search"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["  X: 1 < 2", "  Y: 2 < 1"]
+        assert serialize.read_json(report)["orders"] == {"X": [1, 2], "Y": [2, 1]}
+
     def test_needs_a_mode(self, montanari_file, capsys):
         assert main(["closedness", str(montanari_file)]) == 1
 
@@ -197,6 +206,17 @@ class TestGen:
         code = main(["check-si", str(out / "csp_si_bcs.json"), "G", "Gp",
                      "--pref", "pareto", "--strict"])
         assert code == 0
+
+    @pytest.mark.parametrize("perturb", [[], ["--perturb"]])
+    def test_csp_to_si_on_an_empty_source(self, tmp_path, perturb, capsys):
+        # the empty CSP is satisfiable, so Gp is no safe improvement on G
+        source, out = tmp_path / "empty.json", tmp_path / "out"
+        serialize.write_json(source, {"variables": []})
+        assert main(["gen", "csp-to-si", "--source", str(source), "--out", str(out),
+                     *perturb]) == 0
+        for mode in ("exact", "propagation", "refutation"):
+            assert main(["check-si", str(out / "csp_si_bcs.json"), "G", "Gp",
+                         "--pref", "pareto", "--mode", mode]) == 3
 
     def test_random_csp_seeded(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -674,7 +674,7 @@ class TestClassifyConstraints:
 
 
 def class_blocks_reference(game, searches):
-    """The class grouping that `_own_class_order` absorbed: outcome classes
+    """The class grouping of a game's own order: outcome classes
     as profiles, each sorted by label, classes by their first label."""
     keys = closedness._orbit_classes(game, searches)
     blocks = {}
@@ -794,7 +794,9 @@ class TestOrderPass:
             searches = asm._Searches()
             reduced = [g for g in games if searches.reduced(g)]
             for g in reduced:
-                assert closedness._own_class_order(g, searches) == \
+                # a game's own class order is its identity transport
+                assert closedness._transport_order(g, g, sorted(g.outcome_labels()),
+                                                   searches) == \
                     own_class_order_reference(g, searches)
             for src, dst in itertools.product(reduced, repeat=2):
                 order = own_class_order_reference(src, searches)
@@ -875,7 +877,8 @@ class TestOrderPass:
         original = closedness._transport_order
 
         def recording(src, dst, *args):
-            parents.append((src.name, dst.name))
+            if src is not dst:      # a root's own order is a transport to itself
+                parents.append((src.name, dst.name))
             return original(src, dst, *args)
 
         monkeypatch.setattr(closedness, "_transport_order", recording)

@@ -21,7 +21,8 @@ from oc_reason import (
     strictly_dominates,
 )
 from oc_reason.games import _affine_key
-from conftest import affine_copy, random_game
+from oc_reason.fixtures import symmetric_coordination
+from conftest import affine_copy, random_game, small_game
 
 
 def _affine_fit(pairs: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction] | None:
@@ -302,6 +303,24 @@ class TestRefinementSearch:
             pairs += 1
             found += len(result)
         assert pairs == 320 and found > 1000
+
+    def test_the_first_automorphism_is_the_identity(self):
+        # a game's own class order is its sorted labels carried through the
+        # first automorphism, which must therefore be the identity: seeded
+        # 2- and 3-player games of every kind, symmetric ones included
+        rng = random.Random(8)
+        shapes = [(1, 1), (2, 2), (3, 3), (2, 3), (4, 4), (2, 2, 2), (3, 2, 2), (3, 3, 3)]
+        games = [symmetric_coordination()]
+        for t in range(200):
+            shape, kind = rng.choice(shapes), sorted(self.KINDS)[t % 4]
+            games.append(payoff_game("g", shape, self.KINDS[kind](rng, shape)))
+        games += [small_game(rng, "s", 2 + t % 2) for t in range(100)]
+        symmetric = 0
+        for g in games:
+            automorphisms = find_isomorphisms(g, g)
+            assert automorphisms[0].maps == tuple(tuple(range(m)) for m in g.shape)
+            symmetric += len(automorphisms) > 1
+        assert symmetric >= 80
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 4, 4)])
     def test_larger_games_finish_quickly(self, shape):

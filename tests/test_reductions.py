@@ -1,5 +1,6 @@
 """Hardness-instance generators and satisfiability-preserving constructions."""
 
+import itertools
 import json
 import random
 
@@ -7,7 +8,9 @@ import pytest
 
 from oc_reason import (
     AssumptionSelection,
+    Bcs,
     Correspondence,
+    DecisionMode,
     InputError,
     augment_always_satisfiable,
     build_assumption_bcs,
@@ -123,6 +126,14 @@ class TestCspToSiGames:
             for strict in (False, True):
                 yes = decide_si(inst.bcs, "G", "Gp", pref, strict=strict).yes
                 assert yes == (not satisfiable)
+
+    def test_empty_source_is_satisfiable_so_no_improvement(self):
+        # the empty CSP has one solution, the empty assignment
+        for perturb in (False, True):
+            inst = csp_to_si_games(Bcs.create([], []), perturb=perturb)
+            pref = pareto_preference(list(inst.games))
+            for strict, mode in itertools.product((False, True), DecisionMode):
+                assert not decide_si(inst.bcs, "G", "Gp", pref, strict=strict, mode=mode).yes
 
     def test_perturbed_variant_isolates_the_pair(self):
         rng = random.Random(62)
