@@ -222,17 +222,11 @@ def discover_risk_labelings(g1: NormalFormGame, g2: NormalFormGame) -> list[Decr
     if any(g.n_players != 2 or g.shape != (2, 2) for g in (g1, g2)):
         return []
 
-    def candidates(g):
-        strict = [o.profile for o in pure_nash_equilibria(g, strict=True)]
-        out = []
-        for top, safe in itertools.permutations(strict, 2):
-            if all(top[i] != safe[i] for i in range(2)) and \
-                    pareto_compare(g.payoff(top), g.payoff(safe)) is ParetoRelation.BETTER:
-                out.append((top, safe))
-        return out
-
+    # every ordered pair of strict equilibria per game: _risk_preconditions
+    # rejects shared actions and a top that does not Pareto-dominate
+    strict = ([o.profile for o in pure_nash_equilibria(g, strict=True)] for g in (g1, g2))
     labelings = []
-    for (t1, s1), (t2, s2) in itertools.product(candidates(g1), candidates(g2)):
+    for (t1, s1), (t2, s2) in itertools.product(*(itertools.permutations(p, 2) for p in strict)):
         pair = DecreasingRiskPair(
             g1.name, g2.name,
             tuple(g1.actions[i][t1[i]] for i in range(2)),

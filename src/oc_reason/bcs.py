@@ -32,7 +32,9 @@ polynomial greedy descent. Only at a dead end does refutation propagate the
 copy with the claim's pair alone queued, and then walk once more
 (``refuted``). ``path_consistency`` queues every pair of the normalized
 store. The worklist stops at the first relation it empties and empties the
-rest, which is the fixed point the full sweeps reach.
+rest, which is the fixed point the full sweeps reach. A refutation asked
+once, with no fixed point to start from, is its definition:
+``path_consistency`` of the structure plus the claim's complement.
 """
 
 from __future__ import annotations
@@ -421,14 +423,9 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     :func:`path_consistency_sweeps`; empty relations are a legitimate result
     signaling unsatisfiability evidence, never an error.
     """
-    rel = _relation_store(bcs)
-    return PropagatedBcs(bcs, rel, _propagate(rel, _every_pair(len(rel)), bcs._stride))
-
-
-def _every_pair(n: int) -> Iterator[tuple[int, int]]:
-    """Every pair (a, b) of n variable positions with a <= b, the seeds of a
-    propagation from scratch."""
-    return ((a, b) for a in range(n) for b in range(a, n))
+    rel, n = _relation_store(bcs), len(bcs.variables)
+    seeds = ((a, b) for a in range(n) for b in range(a, n))
+    return PropagatedBcs(bcs, rel, _propagate(rel, seeds, bcs._stride))
 
 
 def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: propagate, solve, check-si, find-si, closedness, assume, gen.
-Exit codes: 0 success / yes / closed; 1 input or file error; 2 an empty
-correspondence was derived (unsatisfiability evidence, `propagate` only);
-3 no / violated / nothing found.
+Exit codes: 0 success / yes / closed; 1 an input, usage or file error; 2 an
+empty correspondence was derived (unsatisfiability evidence, `propagate`
+only); 3 no / violated / nothing found.
 
 Every run builds a report dict; text output prints its facts and `--json`
 writes the same report (plus timing) to a file.
@@ -151,6 +151,8 @@ def cmd_find_si(args, report) -> int:
 
 
 def cmd_closedness(args, report) -> int:
+    if sum(map(bool, (args.orders, args.joins, args.search))) > 1:
+        raise InputError("closedness takes only one of --orders, --joins and --search")
     bcs, _ = serialize.load_bcs(args.input)
     if args.search:
         found = search_max_orders(bcs)
@@ -279,11 +281,20 @@ def cmd_gen(args, report) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, like every other input error;
+    its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use; every
     call returns the same parser, which parsing does not change."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oc-reason",
         description="Reason about safe improvements between games via "
                     "outcome-correspondence constraints.")

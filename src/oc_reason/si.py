@@ -16,7 +16,8 @@ assignment they find: one that violates a later pair's claim answers no for
 it in both modes, as sound propagation cannot refute a satisfiable claim
 (claim-level witness sharing, Gottlob 2012). :func:`decide_si` answers one
 pair by the same rule, without witnesses, except in refutation mode, where
-it propagates the augmented structure from scratch (see its docstring).
+it answers with ``path_consistency`` of the structure plus the claim's
+complement, from scratch (see its docstring).
 
 A claim on x and y compares only the outcomes of x and y, so a preference is
 tabulated per ordered variable pair on first read (:class:`Preference`), not
@@ -40,14 +41,11 @@ from .bcs import (
     DecisionMode,
     _closure,
     _decide,
-    _every_pair,
     _mutual,
-    _narrow,
-    _pack,
-    _propagate,
     _store,
     intersect,
     inverse,
+    path_consistency,
 )
 from .closedness import is_join_closed, is_max_closed
 from .errors import InputError
@@ -259,21 +257,16 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     structures). Supplied order/join certificates are checked by
     :func:`verify_certificate`.
 
-    Refutation propagates the augmented structure once, from scratch: it
-    narrows the normalized store at (x, y) by the claim's complement and
-    queues every pair, which is ``path_consistency`` of the structure plus
-    that complement without building it. Deciding on the fixed point, as
-    the other modes and ``find_*`` do, would propagate twice.
+    Refutation is ``path_consistency`` of the structure plus the claim's
+    complement, propagated once from scratch. Deciding on the structure's
+    own fixed point, as the other modes and ``find_*`` do, would propagate
+    twice.
     """
     claim = _claim(bcs, x, y, pref, strict)
     certified = verify_certificate(bcs, mode, orders, joins)
     if mode is DecisionMode.REFUTATION:
-        # the normalized store plus the claim's complement at (x, y); the
-        # worklist empties every relation as soon as it empties one
-        rel, i, j, stride = _store(bcs, DecisionMode.EXACT), bcs.index(x), bcs.index(y), bcs._stride
-        _narrow(rel, i, j, rel[i][j] & ~_pack(claim.rows, stride), stride)
-        _propagate(rel, _every_pair(len(rel)), stride)
-        return SiVerdict(not rel[i][j], mode, certified=certified)
+        augmented = path_consistency(bcs.with_constraints([claim.complement()]))
+        return SiVerdict(augmented.has_empty, mode, certified=certified)
     yes, witness = _decide(bcs, _store(bcs, mode), claim, mode)
     return SiVerdict(yes, mode, counterexample=witness, certified=certified)
 

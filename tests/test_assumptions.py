@@ -26,7 +26,13 @@ from oc_reason import (
 )
 from oc_reason import assumptions as asm
 from oc_reason.fixtures import stag_hunt_pair
-from oc_reason.games import is_fully_reduced, one_round_reduction
+from oc_reason.games import (
+    ParetoRelation,
+    is_fully_reduced,
+    one_round_reduction,
+    pareto_compare,
+    pure_nash_equilibria,
+)
 from conftest import affine_copy, random_game, small_game_set
 
 
@@ -178,6 +184,31 @@ class TestDecreasingRiskOc:
         assert discover_risk_labelings(left, right) == [labeling]
         assert discover_risk_labelings(right, left) == []
 
+    def test_discovery_equals_the_filtered_candidates(self, stag_pair):
+        # every ordered pair of a seeded pool of 2x2 games, each game with
+        # itself included, and the stag-hunt pair. Payoffs lean to
+        # coordination (2..4 on the diagonal, 0..2 off it), so ties and
+        # strict equilibria in both orders are common. Each game has two
+        # shifted copies whose action-0 payoffs rise and action-1 payoffs
+        # fall by 0 or 1, so many pairs pass the payoff inequalities one way
+        rng = random.Random(63)
+        pool = list(stag_pair[:2])
+        for k in range(20):
+            matrix = [[(rng.randint(*span), rng.randint(*span))
+                       for span in ([(2, 4), (0, 2)], [(0, 2), (2, 4)])[r]] for r in range(2)]
+            shifted = [[[tuple(u + rng.randint(0, 1) * (1 if a == 0 else -1)
+                               for u, a in zip(cell, (r, c))) for c, cell in enumerate(row)]
+                        for r, row in enumerate(matrix)] for _ in range(2)]
+            pool += [NormalFormGame.two_player(f"G{k}_{i}", ["r0", "r1"], ["c0", "c1"], m)
+                     for i, m in enumerate([matrix, *shifted])]
+        found = same = 0
+        for g1, g2 in itertools.product(pool, repeat=2):
+            labelings = discover_risk_labelings(g1, g2)
+            assert labelings == risk_labelings_reference(g1, g2), (g1.name, g2.name)
+            found += bool(labelings)
+            same += bool(labelings) and g1 is g2
+        assert found >= 75 and same >= 25, (found, same)
+
 
 class TestBuilder:
     def test_trio_worked_example(self, trio):
@@ -273,6 +304,32 @@ def decreasing_risk_reference(g1, g2, pair):
             pairs.append((src, g2.profile_label(target)))
     return Correspondence.from_pairs(g1.name, g2.name, g1.outcome_labels(),
                                      g2.outcome_labels(), pairs)
+
+
+def risk_labelings_reference(g1, g2):
+    """The discovery loop that filtered its candidates for distinct actions
+    and Pareto domination before checking the preconditions."""
+    if any(g.n_players != 2 or g.shape != (2, 2) for g in (g1, g2)):
+        return []
+
+    def candidates(g):
+        strict = [o.profile for o in pure_nash_equilibria(g, strict=True)]
+        return [(top, safe) for top, safe in itertools.permutations(strict, 2)
+                if all(top[i] != safe[i] for i in range(2)) and
+                pareto_compare(g.payoff(top), g.payoff(safe)) is ParetoRelation.BETTER]
+
+    labelings = []
+    for (t1, s1), (t2, s2) in itertools.product(candidates(g1), candidates(g2)):
+        pair = DecreasingRiskPair(
+            g1.name, g2.name,
+            *(tuple(g.actions[i][p[i]] for i in range(2))
+              for g, p in ((g1, t1), (g1, s1), (g2, t2), (g2, s2))))
+        try:
+            asm._risk_preconditions(g1, g2, pair)
+        except InputError:
+            continue
+        labelings.append(pair)
+    return labelings
 
 
 class TestProductBuilders:

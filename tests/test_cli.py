@@ -195,6 +195,27 @@ class TestClosedness:
     def test_needs_a_mode(self, montanari_file, capsys):
         assert main(["closedness", str(montanari_file)]) == 1
 
+    @pytest.mark.parametrize("flags", [("--orders", "--joins"), ("--orders", "--search"),
+                                       ("--joins", "--search"),
+                                       ("--orders", "--joins", "--search")])
+    def test_one_certificate_flag_at_most(self, tmp_path, flags, capsys):
+        # rejected before any file is read: no verdict, search or dump
+        assert main(["gen", "join-incompleteness", "--out", str(tmp_path)]) == 0
+        structure = tmp_path / "join_incompleteness.json"
+        bcs, _ = serialize.load_bcs(structure)
+        serialize.write_json(tmp_path / "orders.json", serialize.orders_to_json(
+            {v.id: v.domain for v in bcs.variables}))
+        files = {"--orders": [str(tmp_path / "orders.json")], "--search": [],
+                 "--joins": [str(tmp_path / "join_incompleteness_semilattices.json")]}
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        code = main(["closedness", str(structure), "--dump", str(tmp_path / "dump.json"),
+                     *(a for flag in flags for a in [flag, *files[flag]])])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "only one of --orders, --joins and --search" in err
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestGen:
     def test_csp_to_si_bundle(self, montanari_file, tmp_path, capsys):
@@ -369,6 +390,26 @@ class TestAttachedGameNames:
         assert serialize.read_json(report)["pairs"] == [["X", "Y"], ["Y", "X"]]
         _, games = serialize.load_bcs(path)
         assert {x: g.name for x, g in games.items()} == {"X": "X", "Y": "Y"}
+
+
+class TestUsageErrors:
+    """Usage errors exit 1, as input errors do; exit 2 means an empty
+    correspondence was derived."""
+
+    @pytest.mark.parametrize("argv", [["propagate", "s.json", "--bogus"], ["check-si"],
+                                      ["gen", "nosuch"]])
+    def test_usage_errors_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: oc-reason" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check-si", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: oc-reason" in capsys.readouterr().out
 
 
 def test_every_option_has_help():

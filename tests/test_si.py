@@ -422,7 +422,6 @@ class TestFindSi:
         # propagation from scratch queues every pair; refutation find_*'s
         # restarts from the fixed point queue one pair each
         import oc_reason.bcs as bcs_module
-        import oc_reason.si as si
         propagate, calls = bcs_module._propagate, []
 
         def counted(rel, seeds, stride):
@@ -431,10 +430,7 @@ class TestFindSi:
                 calls.append(rel)
             return propagate(rel, seeds, stride)
 
-        # find_* and decide_si's exact and propagation modes propagate in
-        # bcs; decide_si's refutation propagates in si
         monkeypatch.setattr(bcs_module, "_propagate", counted)
-        monkeypatch.setattr(si, "_propagate", counted)
         bcs, _ = random_max_closed_bcs(random.Random(34), 5, 3)
         pref = Preference.from_relation({v.id: v.domain for v in bcs.variables},
                                         lambda a, b: a[1] >= b[1])
@@ -553,18 +549,21 @@ def test_refuted_agrees_with_propagating_the_augmented_structure():
 
 
 def test_refutation_decision_equals_propagating_the_augmented_structure():
-    # decide_si narrows the normalized store and queues every pair instead of
-    # building the augmented structure; self-pairs and structures whose own
-    # fixed point is empty are among the queries
+    # decide_si propagates the augmented structure from scratch; its verdict
+    # also equals refuted's on the structure's own fixed point, the
+    # incremental path that find_* take. Self-pairs and structures whose
+    # own fixed point is empty are among the queries
     answers, self_pairs = set(), 0
     for rng, bcs, _, _ in _differential_structures():
         pref = _random_pref(rng, bcs)
+        fixed_point = path_consistency(bcs)
         for x in (v.id for v in bcs.variables):
             y, strict = rng.choice(bcs.variables).id, rng.random() < 0.5
             claim = improvement_oc(x, y, pref, strict)
             augmented = path_consistency(bcs.with_constraints([claim.complement()]))
             verdict = decide_si(bcs, x, y, pref, strict, DecisionMode.REFUTATION)
             assert verdict.yes == augmented.has_empty
+            assert verdict.yes == refuted(fixed_point, claim)
             answers.add(verdict.yes)
             self_pairs += x == y
     assert answers == {True, False} and self_pairs >= 20
