@@ -11,11 +11,12 @@ action maps to a set of the other game's actions, and an outcome to the
 product of its actions' images. `_product_oc` builds all three. A dominance
 constraint is built straight onto each listed game equal to the reduction.
 
-Each family's constraints are derived in `_derive_constraints` alone. The
-`_Searches` memo there derives each game's one-round reduction and affine
-key (`games._affine_key`) once, and searches for isomorphisms, once per
+Each family's constraints are derived in `_derive_constraints` alone. A
+game's one-round reduction and affine key are facts of the game, derived
+once on it (`NormalFormGame._reduction` and `_affine_key`). The `_Searches`
+memo holds what concerns pairs: it searches for isomorphisms, once per
 ordered pair, only between games of one shape whose players' primitives are
-equal: a positive affine map exists between no other pair.
+equal, since a positive affine map exists between no other pair.
 
 `closedness` must know which family generated each constraint, and
 `_constraint_records` tells it. A structure from `build_assumption_bcs`
@@ -39,7 +40,6 @@ from .games import (
     Isomorphism,
     NormalFormGame,
     ParetoRelation,
-    _affine_key,
     find_isomorphisms,
     is_fully_reduced,
     one_round_reduction,
@@ -243,36 +243,20 @@ def discover_risk_labelings(g1: NormalFormGame, g2: NormalFormGame) -> list[Decr
 
 
 class _Searches:
-    """Per game of one list, keyed by name: its one-round reduction and the
-    primitives of its affine key; per ordered pair, its isomorphism list. Each is derived at
-    most once during the call that made it, and `find_isomorphisms` runs
-    only for games of one shape whose players' primitives are all equal,
-    since no other pair is isomorphic."""
+    """Per ordered pair of games of one list, keyed by names, its
+    isomorphism list, found at most once during the call that made the memo.
+    `find_isomorphisms` runs only for games of one shape whose players'
+    primitives are all equal, since no other pair is isomorphic; the games
+    keep their own reductions and affine keys."""
 
     def __init__(self):
-        self._reductions: dict[str, NormalFormGame] = {}
-        self._primitives: dict[str, tuple[tuple[int, ...], ...]] = {}
         self._isomorphisms: dict[tuple[str, str], list[Isomorphism]] = {}
-
-    def reduction(self, game: NormalFormGame) -> NormalFormGame:
-        """`one_round_reduction(game)[0]`: `game` itself when it is fully reduced."""
-        if game.name not in self._reductions:
-            self._reductions[game.name] = one_round_reduction(game)[0]
-        return self._reductions[game.name]
-
-    def reduced(self, game: NormalFormGame) -> bool:
-        return self.reduction(game) is game
-
-    def primitives(self, game: NormalFormGame) -> tuple[tuple[int, ...], ...]:
-        if game.name not in self._primitives:
-            self._primitives[game.name] = tuple(p for p, _, _ in _affine_key(game))
-        return self._primitives[game.name]
 
     def isomorphisms(self, g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphism]:
         key = (g1.name, g2.name)
         if key not in self._isomorphisms:
-            self._isomorphisms[key] = find_isomorphisms(g1, g2) if (
-                g1.shape == g2.shape and self.primitives(g1) == self.primitives(g2)) else []
+            keyed = g1.shape == g2.shape and g1._affine_key[0] == g2._affine_key[0]
+            self._isomorphisms[key] = find_isomorphisms(g1, g2) if keyed else []
         return self._isomorphisms[key]
 
 
@@ -286,11 +270,9 @@ def _derive_constraints(games: list[NormalFormGame], selection: AssumptionSelect
     if selection.dominance:
         allowed = set(names if selection.dominance_games is None else selection.dominance_games)
         for g in games:
-            if g.name not in allowed:
+            if g.name not in allowed or is_fully_reduced(g):
                 continue
-            sub = searches.reduction(g)
-            if sub is g:
-                continue
+            sub = one_round_reduction(g)[0]
             images = _survivor_images(g, sub)
             for other in games:
                 if other.same_payoffs(sub):    # never g, which has more actions
@@ -303,7 +285,7 @@ def _derive_constraints(games: list[NormalFormGame], selection: AssumptionSelect
         for g1, g2 in itertools.combinations(games, 2):
             if allowed_pairs is not None and frozenset((g1.name, g2.name)) not in allowed_pairs:
                 continue
-            if not (searches.reduced(g1) and searches.reduced(g2)):
+            if not (is_fully_reduced(g1) and is_fully_reduced(g2)):
                 continue
             oc = _oc_isomorphism(g1, g2, searches.isomorphisms(g1, g2))
             if oc is not None:

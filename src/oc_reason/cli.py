@@ -153,6 +153,8 @@ def cmd_find_si(args, report) -> int:
 def cmd_closedness(args, report) -> int:
     if sum(map(bool, (args.orders, args.joins, args.search))) > 1:
         raise InputError("closedness takes only one of --orders, --joins and --search")
+    if args.dump and not args.search:
+        raise InputError("closedness --dump writes found orders, so it needs --search")
     bcs, _ = serialize.load_bcs(args.input)
     if args.search:
         found = search_max_orders(bcs)
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", metavar="PATH", help="max-closedness certificate to verify")
     p.add_argument("--joins", metavar="PATH", help="join-closedness certificate to verify")
     p.add_argument("--search", action="store_true", help="brute-force search for orders")
-    p.add_argument("--dump", metavar="PATH", help="write found orders here")
+    p.add_argument("--dump", metavar="PATH", help="write found orders here (with --search only)")
     p.set_defaults(func=cmd_closedness)
 
     p = sub.add_parser("assume", help="build an assumption BCS from game files")

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from . import assumptions as asm
 from .bcs import Bcs, Correspondence, _closure, _mutual
 from .errors import InputError
-from .games import NormalFormGame, fully_reduce
+from .games import NormalFormGame, fully_reduce, is_fully_reduced
 
 VariableOrders = Mapping[str, tuple[str, ...]]
 JoinFamily = Mapping[str, Mapping[tuple[str, str], str]]
@@ -348,7 +348,7 @@ def orders_for_assumptions(games: list[NormalFormGame], bcs: Bcs) -> dict[str, t
     risk_orders, iso_edges = _risk_orders_and_edges(records)
 
     orders: dict[str, tuple[str, ...]] = dict(risk_orders)
-    reduced = [g for g in games if searches.reduced(g)]
+    reduced = [g for g in games if is_fully_reduced(g)]
 
     # each game's isomorphic neighbors, in list order
     edges = set(iso_edges) | {(b, a) for a, b in iso_edges}

@@ -161,6 +161,40 @@ class NormalFormGame:
     def _outcome_labels(self) -> tuple[str, ...]:
         return tuple(map(",".join, itertools.product(*self.actions)))
 
+    @functools.cached_property
+    def _reduction(self) -> tuple["NormalFormGame", tuple[frozenset[str], ...]] | None:
+        """`one_round_reduction`'s pair, or None when nothing is dominated:
+        that pair would hold the game itself, a reference cycle."""
+        eliminated = tuple(frozenset(dominated_actions(self, i)) for i in range(self.n_players))
+        if not any(eliminated):
+            return None
+        return self.restrict([[a for a in acts if a not in gone]
+                              for acts, gone in zip(self.actions, eliminated)]), eliminated
+
+    @functools.cached_property
+    def _affine_key(self) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...],
+                                   tuple[Fraction, ...]]:
+        """``(primitives, lows, units)``, one entry per player in each, with
+        each of player i's sorted payoffs equal to ``lows[i] + units[i] * k``
+        for the matching k of ``primitives[i]``.
+
+        A primitive is the sorted payoffs on a common denominator, minus
+        their minimum and divided by their gcd: ints with minimum 0 and gcd
+        1, so a positive affine map carries one player's payoffs onto
+        another's exactly when their primitives are equal. A constant column
+        has all zeros and unit 1.
+        """
+        out = []
+        for i in range(self.n_players):
+            column = [vector[i] for vector in self.utilities.values()]
+            den = math.lcm(*(x.denominator for x in column))
+            ints = sorted(x.numerator * (den // x.denominator) for x in column)
+            low = ints[0]
+            step = math.gcd(*(k - low for k in ints)) or den
+            out.append((tuple((k - low) // step for k in ints),
+                        Fraction(low, den), Fraction(step, den)))
+        return tuple(zip(*out))
+
     def outcome(self, profile: Profile) -> "Outcome":
         for i, a in enumerate(profile):
             if not 0 <= a < len(self.actions[i]):
@@ -300,53 +334,23 @@ def dominated_actions(game: NormalFormGame, player: int) -> tuple[str, ...]:
 
 def one_round_reduction(game: NormalFormGame) -> tuple[NormalFormGame, tuple[frozenset[str], ...]]:
     """One maximal elimination round: drop every strictly dominated action of
-    every player simultaneously. Returns (subgame, per-player eliminated sets)."""
-    eliminated = tuple(frozenset(dominated_actions(game, i)) for i in range(game.n_players))
-    if all(not e for e in eliminated):
-        return game, eliminated
-    kept = [
-        [a for a in game.actions[i] if a not in eliminated[i]]
-        for i in range(game.n_players)
-    ]
-    return game.restrict(kept), eliminated
+    every player simultaneously. Returns (subgame, per-player eliminated
+    sets), derived once per game (`NormalFormGame._reduction`); the subgame
+    is `game` itself when nothing is dominated."""
+    return game._reduction or (game, (frozenset(),) * game.n_players)
 
 
 def fully_reduce(game: NormalFormGame) -> ReductionTrace:
     """Iterated elimination of strictly dominated actions, maximal per round."""
     rounds = []
-    current = game
-    while True:
-        nxt, eliminated = one_round_reduction(current)
-        if all(not e for e in eliminated):
-            return ReductionTrace(tuple(rounds), current)
+    while not is_fully_reduced(game):
+        game, eliminated = one_round_reduction(game)
         rounds.append(eliminated)
-        current = nxt
+    return ReductionTrace(tuple(rounds), game)
 
 
 def is_fully_reduced(game: NormalFormGame) -> bool:
-    return all(not dominated_actions(game, i) for i in range(game.n_players))
-
-
-def _affine_key(game: NormalFormGame) -> tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]:
-    """Per player, ``(primitive, low, unit)`` with each of the player's sorted
-    payoffs equal to ``low + unit * k`` for the matching k of `primitive`.
-
-    `primitive` is the sorted payoffs on a common denominator, minus their
-    minimum and divided by their gcd: ints with minimum 0 and gcd 1, so a
-    positive affine map carries one player's payoffs onto another's exactly
-    when their primitives are equal. A constant column has all zeros and
-    unit 1.
-    """
-    out = []
-    for i in range(game.n_players):
-        column = [vector[i] for vector in game.utilities.values()]
-        den = math.lcm(*(x.denominator for x in column))
-        ints = sorted(x.numerator * (den // x.denominator) for x in column)
-        low = ints[0]
-        step = math.gcd(*(k - low for k in ints)) or den
-        out.append((tuple((k - low) // step for k in ints),
-                    Fraction(low, den), Fraction(step, den)))
-    return tuple(out)
+    return game._reduction is None
 
 
 def _refine_actions(tables: Sequence[Mapping[Profile, int]],
@@ -387,10 +391,11 @@ def find_isomorphisms(g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphis
 
     A positive affine map carries each player's sorted payoff multiset of
     g2 onto g1's, so the games are isomorphic only if every player has the
-    same primitive in both games' `_affine_key`, and the keys fix the only
-    possible (scale, shift) per player before any search: scale is g1's
-    unit over g2's, shift is g1's low minus scale times g2's (scale 1 where
-    a player's payoffs are constant). With g2's payoffs carried into g1's
+    same primitive in both games' affine keys (`NormalFormGame._affine_key`,
+    derived once per game), and the keys fix the only possible (scale,
+    shift) per player before any search: scale is g1's unit over g2's,
+    shift is g1's low minus scale times g2's (scale 1 where a player's
+    payoffs are constant). With g2's payoffs carried into g1's
     scale, colour refinement (`_refine_actions`, as in nauty/Traces) gives
     each action its candidate images. A backtracking search then places one
     action at a time, round-robin over the players, and checks each profile
@@ -407,20 +412,18 @@ def find_isomorphisms(g1: NormalFormGame, g2: NormalFormGame) -> list[Isomorphis
     """
     if g1.shape != g2.shape:
         return []
-    fits = []
-    for (primitive, low, unit), (primitive2, low2, unit2) in zip(_affine_key(g1),
-                                                                 _affine_key(g2)):
-        if primitive != primitive2:
-            return []
-        scale = unit / unit2
-        fits.append((scale, low - scale * low2))
-    scales = tuple(s for s, _ in fits)
-    shifts = tuple(b for _, b in fits)
+    primitives, lows, units = g1._affine_key
+    primitives2, lows2, units2 = g2._affine_key
+    if primitives != primitives2:
+        return []
+    scales = tuple(u / u2 for u, u2 in zip(units, units2))
+    shifts = tuple(b - s * b2 for s, b, b2 in zip(scales, lows, lows2))
     # payoff vectors as ids, g2's carried into g1's scale: from here on the
     # search compares exact payoffs as integers
     ids: dict[PayoffVector, int] = {}
     own = {p: ids.setdefault(vector, len(ids)) for p, vector in g1.utilities.items()}
-    image = {q: ids.setdefault(tuple(s * x + b for (s, b), x in zip(fits, vector)), len(ids))
+    image = {q: ids.setdefault(tuple(s * x + b for s, b, x in zip(scales, shifts, vector)),
+                               len(ids))
              for q, vector in g2.utilities.items()}
     shape = g1.shape
     mine, theirs = _refine_actions((own, image), shape)

@@ -11,9 +11,11 @@ from oc_reason import (
     build_assumption_bcs,
     enumerate_satisfying,
     improvement_oc,
+    is_max_closed,
     orders_for_assumptions,
     pareto_preference,
     path_consistency_sweeps,
+    search_max_orders,
     serialize,
 )
 from oc_reason.cli import build_parser, main
@@ -215,6 +217,87 @@ class TestClosedness:
         assert code == 1 and out == ""
         assert "only one of --orders, --joins and --search" in err
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag", ["--orders", "--joins"])
+    def test_dump_needs_search(self, tmp_path, flag, capsys):
+        # a certificate check finds no orders to write: rejected before any
+        # file is read, with no verdict and no dump
+        assert main(["gen", "join-incompleteness", "--out", str(tmp_path)]) == 0
+        structure = tmp_path / "join_incompleteness.json"
+        bcs, _ = serialize.load_bcs(structure)
+        serialize.write_json(tmp_path / "orders.json", serialize.orders_to_json(
+            {v.id: v.domain for v in bcs.variables}))
+        files = {"--orders": tmp_path / "orders.json",
+                 "--joins": tmp_path / "join_incompleteness_semilattices.json"}
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        code = main(["closedness", str(structure), flag, str(files[flag]),
+                     "--dump", str(tmp_path / "dump.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "--dump writes found orders, so it needs --search" in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_search_dumps_the_found_orders(self, trio_file, tmp_path):
+        dump = tmp_path / "dump.json"
+        assert main(["closedness", str(trio_file), "--search", "--dump", str(dump)]) == 0
+        bcs, _ = serialize.load_bcs(trio_file)
+        assert serialize.orders_from_json(serialize.read_json(dump)) == search_max_orders(bcs)
+
+    def test_orders_certificate(self, trio_file, tmp_path, capsys):
+        orders, report = tmp_path / "orders.json", tmp_path / "report.json"
+        assert main(["closedness", str(trio_file), "--search", "--dump", str(orders)]) == 0
+        capsys.readouterr()
+        assert main(["--json", str(report), "closedness", str(trio_file),
+                     "--orders", str(orders)]) == 0
+        assert capsys.readouterr().out == "max-closed under the supplied certificate\n"
+        assert serialize.read_json(report)["result"] == "closed"
+
+    def test_violated_orders_report_the_witness(self, montanari_file, tmp_path, capsys):
+        bcs, _ = serialize.load_bcs(montanari_file)
+        ascending = {v.id: tuple(sorted(v.domain)) for v in bcs.variables}
+        orders, report = tmp_path / "orders.json", tmp_path / "report.json"
+        serialize.write_json(orders, serialize.orders_to_json(ascending))
+        capsys.readouterr()
+        assert main(["--json", str(report), "closedness", str(montanari_file),
+                     "--orders", str(orders)]) == 3
+        w = is_max_closed(bcs, ascending).witness
+        witness = {"constraint": 0, "source": "X1", "target": "X2",
+                   "pair_a": ["1", "2"], "pair_b": ["2", "1"], "missing": ["2", "2"]}
+        assert witness == {"constraint": w.constraint_index, "source": w.source,
+                           "target": w.target, "pair_a": list(w.pair_a),
+                           "pair_b": list(w.pair_b), "missing": list(w.missing)}
+        written = serialize.read_json(report)
+        assert written["result"] == "violated" and written["witness"] == witness
+        assert capsys.readouterr().out == (
+            "not max-closed: constraint 0 (X1->X2) contains ('1', '2') and ('2', '1') "
+            "but not ('2', '2')\n")
+
+
+class TestAssume:
+    def test_games_outside_the_out_directory_are_referenced_absolutely(
+            self, trio_file, tmp_path, capsys):
+        games_dir, out_dir = tmp_path / "games", tmp_path / "out"
+        games_dir.mkdir()
+        out_dir.mkdir()
+        paths = []
+        for g in chicken_trio():
+            paths.append(games_dir / f"{g.name}.json")
+            serialize.write_json(paths[-1], serialize.game_to_json(g))
+        out = out_dir / "trio.json"
+        assert main(["assume", *map(str, paths), "--dominance", "--isomorphism",
+                     "--out", str(out)]) == 0
+        written = serialize.read_json(out)
+        assert written["games"] == {g.name: str(p.resolve())
+                                    for g, p in zip(chicken_trio(), paths)}
+        # the same structure as with the games beside it, and the games load
+        assert {k: v for k, v in written.items() if k != "games"} == \
+            {k: v for k, v in serialize.read_json(trio_file).items() if k != "games"}
+        capsys.readouterr()
+        assert main(["find-si", str(out), "--pref", "pareto"]) == 0
+        listed = capsys.readouterr().out
+        assert main(["find-si", str(trio_file), "--pref", "pareto"]) == 0
+        assert listed == capsys.readouterr().out
 
 
 class TestGen:

@@ -1,6 +1,7 @@
 """Closedness verification, order search, and certifying-order construction."""
 
 import collections
+import functools
 import itertools
 import json
 import random
@@ -35,10 +36,10 @@ from oc_reason import (
     validate_join_family,
 )
 from oc_reason import assumptions as asm
-from oc_reason import closedness, serialize
+from oc_reason import closedness, games as games_module, serialize
 from oc_reason.bcs import _closure, inverse
 from oc_reason.fixtures import stag_hunt_pair
-from oc_reason.games import _affine_key, find_isomorphisms, fully_reduce, is_fully_reduced
+from oc_reason.games import find_isomorphisms, fully_reduce, is_fully_reduced
 from conftest import (affine_copy, permuted_copy, random_game, small_game, small_game_set,
                       with_dominated_row)
 
@@ -632,6 +633,43 @@ def _record_calls(monkeypatch, attr, modules):
     return calls
 
 
+def _record_reductions(monkeypatch):
+    """Record each game whose one-round reduction is computed, not read from
+    its cache: the game of every `games.dominated_actions` scan of player 0."""
+    calls = []
+    original = games_module.dominated_actions
+
+    def recording(game, player):
+        if player == 0:
+            calls.append(game)
+        return original(game, player)
+
+    monkeypatch.setattr(games_module, "dominated_actions", recording)
+    return calls
+
+
+def _record_affine_keys(monkeypatch):
+    """Record each game whose affine key is computed, not read from its cache."""
+    calls = []
+    derive = NormalFormGame.__dict__["_affine_key"].func
+
+    def recording(game):
+        calls.append(game)
+        return derive(game)
+
+    prop = functools.cached_property(recording)
+    prop.__set_name__(NormalFormGame, "_affine_key")
+    monkeypatch.setattr(NormalFormGame, "_affine_key", prop)
+    return calls
+
+
+def _each_reduced_once(reduced, games):
+    """Whether every listed game is among the reduced ones and no game object
+    was reduced twice."""
+    ids = [id(g) for g in reduced]
+    return len(set(ids)) == len(ids) and {id(g) for g in games} <= set(ids)
+
+
 class TestClassifyConstraints:
     @staticmethod
     def outcome(classify, games, bcs):
@@ -732,7 +770,7 @@ def orders_reference(games, bcs, parents=None):
     risk_orders, iso_edges = closedness._risk_orders_and_edges(
         asm._classify(games, bcs, searches))
     orders = dict(risk_orders)
-    reduced = [g for g in games if searches.reduced(g)]
+    reduced = [g for g in games if is_fully_reduced(g)]
     neighbors = {g.name: set() for g in reduced}
     for a, b in iso_edges:
         neighbors[a].add(b)
@@ -792,7 +830,7 @@ class TestOrderPass:
         transports = {2: 0, 3: 0}
         for games in game_sets:
             searches = asm._Searches()
-            reduced = [g for g in games if searches.reduced(g)]
+            reduced = [g for g in games if is_fully_reduced(g)]
             for g in reduced:
                 # a game's own class order is its identity transport
                 assert closedness._transport_order(g, g, sorted(g.outcome_labels()),
@@ -912,36 +950,53 @@ class TestSearchesOncePerCall:
         return games, selection
 
     def test_orders_for_assumptions(self, game_set, monkeypatch):
-        import oc_reason.assumptions as asm
         games, selection = game_set
+        reductions = _record_reductions(monkeypatch)
         # a copy without the attached derivation: classification searches
         built = build_assumption_bcs(games, selection)
         bcs = Bcs(built.variables, built.constraints)
         searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
-        reductions = _record_calls(monkeypatch, "one_round_reduction", (asm,))
         orders = orders_for_assumptions(games, bcs)
         assert is_max_closed(bcs, orders).closed
         assert ("Gb", "Gc") in searches and ("Gb", "Gb") in searches
         assert len(searches) == len(set(searches))
-        assert sorted(reductions) == sorted({(g.name,) for g in games})
+        assert _each_reduced_once(reductions, games)
 
     def test_build_then_order_shares_one_memo(self, game_set, monkeypatch):
         games, selection = game_set
         searches = _record_calls(monkeypatch, "find_isomorphisms", (asm,))
-        reductions = _record_calls(monkeypatch, "one_round_reduction", (asm,))
+        reductions = _record_reductions(monkeypatch)
         bcs = build_assumption_bcs(games, selection)
         orders = orders_for_assumptions(games, bcs)
         assert is_max_closed(bcs, orders).closed
         assert ("Gb", "Gc") in searches and ("Gb", "Gb") in searches
         assert len(searches) == len(set(searches))
-        assert sorted(reductions) == sorted({(g.name,) for g in games})
+        assert _each_reduced_once(reductions, games)
 
     def test_build_assumption_bcs(self, game_set, monkeypatch):
-        import oc_reason.assumptions as asm
         games, selection = game_set
-        reductions = _record_calls(monkeypatch, "one_round_reduction", (asm,))
+        reductions = _record_reductions(monkeypatch)
         build_assumption_bcs(games, selection)
-        assert sorted(reductions) == sorted({(g.name,) for g in games})
+        assert sorted(g.name for g in reductions) == sorted(g.name for g in games)
+        assert _each_reduced_once(reductions, games)
+
+    def test_games_keep_their_facts_across_calls(self, game_set, monkeypatch):
+        games, selection = game_set
+        reductions = _record_reductions(monkeypatch)
+        keys = _record_affine_keys(monkeypatch)
+        bcs = build_assumption_bcs(games, selection)
+        orders = orders_for_assumptions(games, bcs)
+        assert _each_reduced_once(reductions, games)
+        # only fully reduced games are searched, and only their keys are needed
+        assert sorted(g.name for g in keys) == sorted(g.name for g in games if is_fully_reduced(g))
+        reductions.clear()
+        keys.clear()
+        # a second build, its attached derivation and the classified path
+        again = build_assumption_bcs(games, selection)
+        assert orders_for_assumptions(games, again) == orders
+        assert orders_for_assumptions(games, Bcs(again.variables, again.constraints)) == orders
+        assert again == bcs
+        assert reductions == [] and keys == []
 
     def test_searches_only_key_equal_pairs(self, game_set, monkeypatch):
         games, selection = game_set
@@ -952,7 +1007,7 @@ class TestSearchesOncePerCall:
         for n1, n2 in searches:
             g1, g2 = by_name[n1], by_name[n2]
             assert g1.shape == g2.shape
-            assert [p for p, _, _ in _affine_key(g1)] == [p for p, _, _ in _affine_key(g2)]
+            assert g1._affine_key[0] == g2._affine_key[0]
 
     def test_no_search_on_csp_encodings(self, monkeypatch):
         games = list(csp_to_si_games(montanari_instance()).games)

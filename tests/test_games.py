@@ -1,9 +1,11 @@
 """Game primitives: dominance, reduction, isomorphisms, equilibria, Pareto."""
 
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,12 +18,13 @@ from oc_reason import (
     dominated_actions,
     find_isomorphisms,
     fully_reduce,
+    is_fully_reduced,
+    one_round_reduction,
     pareto_compare,
     pure_nash_equilibria,
     strictly_dominates,
 )
-from oc_reason.games import _affine_key
-from oc_reason.fixtures import symmetric_coordination
+from oc_reason.fixtures import chicken_trio, symmetric_coordination
 from conftest import affine_copy, random_game, small_game
 
 
@@ -187,6 +190,26 @@ class TestReduction:
                 current = current.restrict(kept)
             assert current.same_payoffs(target)
 
+    def test_derived_facts_do_not_keep_a_game_alive(self):
+        # a game with nothing dominated is its own reduction: caching the
+        # pair (game, eliminated) on it would make a cycle, which only the
+        # cycle collector frees
+        ga, gb, _ = chicken_trio()
+        assert not is_fully_reduced(ga) and is_fully_reduced(gb)
+        refs = []
+        gc.disable()
+        try:
+            for g in (ga, gb):
+                # read every derived fact, so that each is cached on the game
+                assert one_round_reduction(g)[0].same_payoffs(gb)
+                assert fully_reduce(g).final.same_payoffs(gb)
+                assert len(g._affine_key[0]) == 2
+                refs.append(weakref.ref(g))
+            del g, ga, gb
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
 
 class TestIsomorphisms:
     def test_trio_unique_isomorphism(self, trio):
@@ -242,8 +265,8 @@ class TestIsomorphisms:
 
 
 class TestAffineKey:
-    """`_affine_key` against `_affine_fit` over the sorted payoff multisets
-    it replaced in `find_isomorphisms`."""
+    """`NormalFormGame._affine_key` against `_affine_fit` over the sorted
+    payoff multisets it replaced in `find_isomorphisms`."""
 
     def test_primitives_decide_the_fit_and_fix_its_map(self):
         rng = random.Random(8)
@@ -254,7 +277,7 @@ class TestAffineKey:
             h = (affine_copy(rng, g, "h"), relabelled_copy(rng, g, "h"),
                  rational_game(rng, "h", shape), g)[t % 4]
             for i, ((primitive, low, unit), (primitive2, low2, unit2)) in enumerate(
-                    zip(_affine_key(g), _affine_key(h))):
+                    zip(zip(*g._affine_key), zip(*h._affine_key))):
                 u = sorted(g.payoff_of(p, i) for p in g.profiles())
                 v = sorted(h.payoff_of(p, i) for p in h.profiles())
                 assert u == [low + unit * k for k in primitive]
