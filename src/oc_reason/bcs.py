@@ -19,6 +19,14 @@ narrowing step, rare next to reads, stores both, and the symmetry rule holds
 by construction. The full sweeps that the worklist is tested against revise
 by the public ``compose`` and ``intersect`` on tuple rows.
 
+The worklist itself revises row by row: while it runs, each variable's
+relations are packed into one int with stride D * D, so that one revision of
+x through t composes x->t->y for every y in a few big-int operations, and
+only the rows that changed are unpacked into the store when it ends. The
+store stays one int per pair because everything else reads single pairs:
+a walk that read one row int per variable, shifting out the pair it checks,
+made exact mode 7 to 14% slower on each of the benchmark's workloads.
+
 Every claim is decided by one rule, ``_decide``, which asks whether the
 structure plus the claim's complement has a solution. A satisfying
 assignment already known to violate the claim answers no. Otherwise the rule
@@ -375,15 +383,29 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
     that every unqueued pair has been revised against the current store, so
     the loop ends at the greatest fixed point below ``rel`` provided every
     pair whose relation is not already consistent with the rest is seeded.
-    A revision narrows x->y by x->t->y through the columns of x->t read once
-    per pop; if x->t shrinks meanwhile, they are a sound superset.
+
+    The loop works on row ints: ``rows[x]`` packs x's relations with stride
+    D * D, x->y in the block at ``y * D * D``. One revision of x through t
+    narrows x->y by x->t->y for every y at once: for each non-empty column j
+    of x->t it ORs the column times row j of every t->y block, which is
+    ``rows[t] >> j * D`` masked to the first row of each block. Each block
+    that shrank is stored transposed as block x of ``rows[y]`` (the diagonal
+    stays within the identity, its own transpose) and its pair queued. Only
+    the rows that changed are unpacked into ``rel`` at the end. The columns
+    and ``rows[t]`` are read once per revision; if they shrink meanwhile,
+    they are a sound superset and the pair that shrank is queued.
 
     The first revision that empties a relation empties the whole store and
     ends the loop: revising x->k through an empty x->y empties x->k for
     every k, the diagonal included, and then every k->j through x. So one
     empty relation makes the all-empty store the greatest fixed point."""
     n = len(rel)
-    full, column = (1 << stride) - 1, _pack([1] * stride, stride)
+    block = stride * stride
+    column = _pack([1] * stride, stride)
+    full_block = (1 << block) - 1
+    row_all = _pack([(1 << stride) - 1] * n, block)
+    rows = [_pack(row, block) for row in rel]
+    changed = set()
     queue = deque(seeds)
     queued = set(queue)
     shrank = False
@@ -393,25 +415,36 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
         # shrink (a,y) through b, and (b,y) through a, for every y; a
         # diagonal pair (a,a) has one direction
         for x, t in ((a, b),) if a == b else ((a, b), (b, a)):
-            rel_x, rel_t, x_t = rel[x], rel[t], rel[x][t]
-            columns = [(j * stride, col) for j in range(stride) if (col := x_t >> j & column)]
-            for y in range(n):
-                via, t_y = 0, rel_t[y]
-                for shift, col in columns:
-                    via |= col * (t_y >> shift & full)
-                narrowed = rel_x[y] & via
-                if narrowed == rel_x[y]:
-                    continue
-                _narrow(rel, x, y, narrowed, stride)
-                if not narrowed:
+            row_x, row_t = rows[x], rows[t]
+            x_t, via = row_x >> t * block & full_block, 0
+            for j in range(stride):
+                if col := x_t >> j & column:
+                    via |= col * (row_t >> j * stride & row_all)
+            narrowed = row_x & via
+            if narrowed == row_x:
+                continue
+            rows[x] = narrowed
+            changed.add(x)
+            shrank = True
+            lost = row_x ^ narrowed
+            while lost:
+                y = ((lost & -lost).bit_length() - 1) // block
+                lost &= -1 << (y + 1) * block
+                packed = narrowed >> y * block & full_block
+                if not packed:
                     for row in rel:
                         row[:] = [0] * n
                     return True
-                shrank = True
+                if y != x:
+                    rows[y] = rows[y] & ~(full_block << x * block) | \
+                        _transpose(packed, stride) << x * block
+                    changed.add(y)
                 key = (min(x, y), max(x, y))
                 if key not in queued:
                     queued.add(key)
                     queue.append(key)
+    for x in changed:
+        rel[x][:] = [rows[x] >> y * block & full_block for y in range(n)]
     return shrank
 
 

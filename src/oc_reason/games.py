@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -303,6 +304,16 @@ class ParetoRelation(Enum):
     INCOMPARABLE = "incomparable"
 
 
+def _action_payoffs(game: NormalFormGame, player: int) -> list[list[Fraction]]:
+    """``out[a]``: `player`'s payoffs from their action a against every
+    opponent profile, in one order shared by all of their actions."""
+    others = [range(len(acts)) for i, acts in enumerate(game.actions) if i != player]
+    rests = list(itertools.product(*others))
+    utilities = game.utilities
+    return [[utilities[rest[:player] + (a,) + rest[player:]][player] for rest in rests]
+            for a in range(len(game.actions[player]))]
+
+
 def strictly_dominates(game: NormalFormGame, player: int, dominator: str,
                        dominated: str) -> bool:
     """Whether `dominator` yields strictly more than `dominated` for `player`
@@ -311,25 +322,17 @@ def strictly_dominates(game: NormalFormGame, player: int, dominator: str,
     b = game.action_index(player, dominated)
     if a == b:
         raise InputError("an action cannot be compared with itself for dominance")
-    others = [range(len(acts)) for i, acts in enumerate(game.actions) if i != player]
-    for rest in itertools.product(*others):
-        profile_a = rest[:player] + (a,) + rest[player:]
-        profile_b = rest[:player] + (b,) + rest[player:]
-        if game.payoff_of(profile_a, player) <= game.payoff_of(profile_b, player):
-            return False
-    return True
+    payoffs = _action_payoffs(game, player)
+    return all(map(operator.gt, payoffs[a], payoffs[b]))
 
 
 def dominated_actions(game: NormalFormGame, player: int) -> tuple[str, ...]:
     """Actions of `player` strictly dominated by some other action of theirs."""
     game._check_player(player)
-    out = []
-    for dominated in game.actions[player]:
-        for dominator in game.actions[player]:
-            if dominator != dominated and strictly_dominates(game, player, dominator, dominated):
-                out.append(dominated)
-                break
-    return tuple(out)
+    payoffs = _action_payoffs(game, player)
+    return tuple(label for b, label in enumerate(game.actions[player])
+                 if any(a != b and all(map(operator.gt, row, payoffs[b]))
+                        for a, row in enumerate(payoffs)))
 
 
 def one_round_reduction(game: NormalFormGame) -> tuple[NormalFormGame, tuple[frozenset[str], ...]]:

@@ -4,7 +4,7 @@ import itertools
 import random
 import re
 import sys
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -17,6 +17,7 @@ from oc_reason import (
     NormalFormGame,
     build_assumption_bcs,
     compose,
+    csp_to_si_games,
     derivable,
     enumerate_satisfying,
     implies,
@@ -719,3 +720,109 @@ class TestPackedStore:
                         refuted_copies += _refute(narrowed, i, j, stride)
                         assert_transposes(narrowed, stride)
         assert checked >= 100 and refuted_copies >= 5
+
+
+def reference_propagate(rel, seeds, stride):
+    """The worklist loop as it was before it revised every x->y through t at
+    once: one y at a time, each narrowing stored with its transpose before
+    the next y is revised."""
+    n = len(rel)
+    full, column = (1 << stride) - 1, _pack([1] * stride, stride)
+    queue = deque(seeds)
+    queued = set(queue)
+    shrank = False
+    while queue:
+        a, b = queue.popleft()
+        queued.discard((a, b))
+        for x, t in ((a, b),) if a == b else ((a, b), (b, a)):
+            rel_x, rel_t, x_t = rel[x], rel[t], rel[x][t]
+            columns = [(j * stride, col) for j in range(stride) if (col := x_t >> j & column)]
+            for y in range(n):
+                via, t_y = 0, rel_t[y]
+                for shift, col in columns:
+                    via |= col * (t_y >> shift & full)
+                narrowed = rel_x[y] & via
+                if narrowed == rel_x[y]:
+                    continue
+                _narrow(rel, x, y, narrowed, stride)
+                if not narrowed:
+                    for row in rel:
+                        row[:] = [0] * n
+                    return True
+                shrank = True
+                key = (min(x, y), max(x, y))
+                if key not in queued:
+                    queued.add(key)
+                    queue.append(key)
+    return shrank
+
+
+def csp_encodings(seed, count):
+    """`csp_to_si_games` encodings of random CSPs over three values, whose
+    variable games have 16 outcomes: each variable pair is constrained with
+    probability 0.4, three of its nine value pairs forbidden."""
+    rng = random.Random(seed)
+    dom = ("a", "b", "c")
+    every = list(itertools.product(dom, repeat=2))
+    for _ in range(count):
+        names = [f"Z{i + 1}" for i in range(rng.randint(3, 8))]
+        source = Bcs.create([(x, dom) for x in names], [
+            rel(x, y, dom, dom, sorted(set(every) - set(rng.sample(every, 3))))
+            for x, y in itertools.combinations(names, 2) if rng.random() < 0.4])
+        yield csp_to_si_games(source).bcs
+
+
+class TestRowKernel:
+    """The row-packed worklist against the per-y loop it replaced, on seeded
+    structures larger than the acceptance suite's: equal stores and equal
+    ``shrank`` from every start the package propagates from."""
+
+    @staticmethod
+    def assert_same_propagation(rel, seeds, stride):
+        expected = [list(row) for row in rel]
+        shrank = reference_propagate(expected, list(seeds), stride)
+        assert bcs_module._propagate(rel, seeds, stride) == shrank
+        assert rel == expected
+        return shrank
+
+    def test_from_scratch_equals_the_per_y_loop(self):
+        rng = random.Random(75)
+        structures = [planted_bcs(rng, rng.randint(16, 40), density=rng.choice((0.3, 0.6)),
+                                  pair_bit=rng.choice((0.3, 0.6)), planted=rng.randint(0, 2))
+                      for _ in range(10)]
+        structures += list(csp_encodings(76, 6)) + list(game_structures(77, 6))
+        seen = Counter()
+        for b in structures:
+            rel, n = _relation_store(b), len(b.variables)
+            seeds = [(a, c) for a in range(n) for c in range(a, n)]
+            shrank = self.assert_same_propagation(rel, seeds, b._stride)
+            kind = "narrowed" if rel[0][0] else "emptied" if shrank else "unchanged"
+            seen["planted" if b._stride <= 5 else b._stride, kind] += 1
+        assert seen["planted", "narrowed"] >= 3 and seen["planted", "emptied"] >= 3
+        assert seen[16, "narrowed"] >= 4 and seen[20, "narrowed"] >= 2
+
+    def test_restarts_from_narrowed_fixed_points(self):
+        # _refute's start: a fixed point narrowed at one pair by a claim's
+        # complement, only that pair queued
+        rng = random.Random(78)
+        structures = [planted_bcs(rng, rng.randint(16, 24), density=0.5, pair_bit=0.5)
+                      for _ in range(4)]
+        structures += [coloring_bcs(rng, rng.randint(8, 16), 0.5) for _ in range(4)]
+        structures += list(csp_encodings(79, 3)) + list(game_structures(80, 3))
+        seen = Counter()
+        for b in structures:
+            fixed_point, stride = path_consistency(b)._store, b._stride
+            if not fixed_point[0][0]:
+                continue
+            for _ in range(6):
+                x, y = rng.choice(b.variables), rng.choice(b.variables)
+                claim = random_relation(rng, x.id, y.id, x.domain, y.domain, p=0.7)
+                i, j = b.index(x.id), b.index(y.id)
+                narrowed = fixed_point[i][j] & ~_pack(claim.rows, stride)
+                if not narrowed:
+                    continue
+                rel = [list(row) for row in fixed_point]
+                _narrow(rel, i, j, narrowed, stride)
+                self.assert_same_propagation(rel, [(min(i, j), max(i, j))], stride)
+                seen["emptied" if not rel[0][0] else "narrowed"] += 1
+        assert seen["emptied"] >= 10 and seen["narrowed"] >= 30

@@ -3,9 +3,11 @@
 import gc
 import itertools
 import math
+import operator
 import random
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from oc_reason import (
     strictly_dominates,
 )
 from oc_reason.fixtures import chicken_trio, symmetric_coordination
-from conftest import affine_copy, random_game, small_game
+from conftest import affine_copy, permuted_copy, random_game, small_game
 
 
 def _affine_fit(pairs: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction] | None:
@@ -153,6 +155,32 @@ class TestDominance:
                     assert not (strictly_dominates(g, player, a, b)
                                 and strictly_dominates(g, player, b, a))
 
+
+    def test_index_scan_equals_the_label_loop(self):
+        # every ordered label pair compared profile by profile, against the
+        # per-player scan and each strictly_dominates answer
+        rng = random.Random(5)
+        seen = Counter()
+        for k in range(120):
+            g = small_game(rng, "g", 2 + k % 2)
+            if k % 3:
+                g = permuted_copy(rng, g, "h")
+            for player, acts in enumerate(g.actions):
+                def compare(a, b, op):
+                    i, j = acts.index(a), acts.index(b)
+                    return all(op(g.payoff_of(p[:player] + (i,) + p[player + 1:], player),
+                                  g.payoff_of(p, player)) for p in g.profiles() if p[player] == j)
+
+                beats = {(a, b): compare(a, b, operator.gt)
+                         for a, b in itertools.permutations(acts, 2)}
+                assert dominated_actions(g, player) == \
+                    tuple(b for b in acts if any(beats[a, b] for a in acts if a != b))
+                assert all(strictly_dominates(g, player, a, b) == beats[a, b] for a, b in beats)
+                seen["dominated"] += any(beats.values())
+                seen["weakly, not strictly"] += any(compare(a, b, operator.ge) and not beats[a, b]
+                                                    for a, b in beats)
+            seen["fractional"] += any(x.denominator > 1 for v in g.utilities.values() for x in v)
+        assert min(seen.values()) >= 30
 
 class TestReduction:
     def test_trio_single_round(self, trio):
