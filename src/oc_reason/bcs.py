@@ -27,6 +27,21 @@ store stays one int per pair because everything else reads single pairs:
 a walk that read one row int per variable, shifting out the pair it checks,
 made exact mode 7 to 14% slower on each of the benchmark's workloads.
 
+The worklist runs over supported values only, arc consistency before path
+consistency (Mackworth, "Consistency in networks of relations", 1977).
+``path_consistency`` first drops each value that some constraint leaves
+without support: an empty row where its variable is the source, an empty
+column where it is the target, a missing diagonal pair in a self-loop.
+Dropping is exact. Revising x->x through y clears such a value, so it is
+empty at the greatest fixed point, and the greatest fixed point below the
+store with it emptied is the same. When some value is dropped and every
+variable keeps one, the store is built over the kept values, propagated at
+the stride of the widest kept domain, and spread back to stride D with the
+dropped values empty. The paper's assumptions make this the common case:
+Nash self-loops keep only the equilibria, dominance drops eliminated
+profiles, and a CSP encoding's 16-outcome variable games keep their 4
+diagonal outcomes.
+
 Every claim is decided by one rule, ``_decide``, which asks whether the
 structure plus the claim's complement has a solution. A satisfying
 assignment already known to violate the claim answers no. Otherwise the rule
@@ -47,11 +62,12 @@ once, with no fixed point to start from, is its definition:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import lshift
+from operator import lshift, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -312,21 +328,60 @@ def _transpose(packed: int, stride: int) -> int:
     return out
 
 
-def _relation_store(bcs: Bcs) -> _Store:
+def _relation_store(bcs: Bcs, kept: Sequence[Sequence[int]] | None = None) -> _Store:
     """The directed relation store: ``rel[i][j]`` holds the packed relation
     from variable i to variable j (by position) for every ordered pair, the
     intersection of all given constraints between them in either direction;
     the full relation when there are none; identity (restricted by self-loop
     constraints) on the diagonal. ``rel[j][i]`` is always the transpose of
-    ``rel[i][j]``."""
-    sizes, stride = [len(v.domain) for v in bcs.variables], bcs._stride
+    ``rel[i][j]``. With ``kept``, the store of the values at positions
+    ``kept[i]`` of each variable i only, in that order, at the stride of the
+    longest ``kept[i]``."""
+    sizes = [len(v.domain) if kept is None else len(kept[i])
+             for i, v in enumerate(bcs.variables)]
+    stride = max(sizes, default=0)
     lead = [_pack([1] * s, stride) for s in sizes]      # bit 0 of each row
     rel = [[_pack([1] * si, stride + 1) if i == j else lead[i] * ((1 << sj) - 1)
             for j, sj in enumerate(sizes)] for i, si in enumerate(sizes)]
     for c in bcs.constraints:
         i, j = bcs.index(c.source), bcs.index(c.target)
-        _narrow(rel, i, j, rel[i][j] & _pack(c.rows, stride), stride)
+        rows = c.rows if kept is None else \
+            [sum((c.rows[a] >> b & 1) << k for k, b in enumerate(kept[j])) for a in kept[i]]
+        _narrow(rel, i, j, rel[i][j] & _pack(rows, stride), stride)
     return rel
+
+
+def _supported(bcs: Bcs) -> list[list[int]]:
+    """Per variable, the positions of the values that every constraint
+    supports: a non-empty row where the variable is the source, a non-empty
+    column where it is the target, the diagonal pair of a self-loop."""
+    masks = [(1 << len(v.domain)) - 1 for v in bcs.variables]
+    for c in bcs.constraints:
+        i, j = bcs.index(c.source), bcs.index(c.target)
+        if i == j:
+            masks[i] &= sum(r & 1 << a for a, r in enumerate(c.rows))
+        else:
+            masks[i] &= sum(1 << a for a, r in enumerate(c.rows) if r)
+            masks[j] &= functools.reduce(or_, c.rows)
+    return [[a for a in range(len(v.domain)) if m >> a & 1] for m, v in zip(masks, bcs.variables)]
+
+
+def _spread(rel: _Store, kept: Sequence[Sequence[int]], stride: int, to: int) -> _Store:
+    """A store of the values at positions ``kept`` (see
+    :func:`_relation_store`) over whole domains at stride ``to``: bit
+    ``a * stride + b`` of ``rel[i][j]`` moves to ``kept[i][a] * to +
+    kept[j][b]``, and every other value stays empty."""
+    out = []
+    for i, row in enumerate(rel):
+        out.append([])
+        for j, packed in enumerate(row):
+            spread = 0
+            while packed:
+                a, b = divmod(top := packed.bit_length() - 1, stride)
+                spread |= 1 << kept[i][a] * to + kept[j][b]
+                packed ^= 1 << top
+            out[i].append(spread)
+    return out
 
 
 def _narrow(rel: _Store, x: int, y: int, packed: int, stride: int) -> bool:
@@ -384,16 +439,17 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
     the loop ends at the greatest fixed point below ``rel`` provided every
     pair whose relation is not already consistent with the rest is seeded.
 
-    The loop works on row ints: ``rows[x]`` packs x's relations with stride
-    D * D, x->y in the block at ``y * D * D``. One revision of x through t
-    narrows x->y by x->t->y for every y at once: for each non-empty column j
-    of x->t it ORs the column times row j of every t->y block, which is
-    ``rows[t] >> j * D`` masked to the first row of each block. Each block
-    that shrank is stored transposed as block x of ``rows[y]`` (the diagonal
-    stays within the identity, its own transpose) and its pair queued. Only
-    the rows that changed are unpacked into ``rel`` at the end. The columns
-    and ``rows[t]`` are read once per revision; if they shrink meanwhile,
-    they are a sound superset and the pair that shrank is queued.
+    The loop works on row ints: with D the stride it is given, ``rows[x]``
+    packs x's relations with stride D * D, x->y in the block at
+    ``y * D * D``. One revision of x through t narrows x->y by x->t->y for
+    every y at once: for each non-empty column j of x->t it ORs the column
+    times row j of every t->y block, which is ``rows[t] >> j * D`` masked
+    to the first row of each block. Each block that shrank is stored
+    transposed as block x of ``rows[y]`` (the diagonal stays within the
+    identity, its own transpose) and its pair queued. Only the rows that
+    changed are unpacked into ``rel`` at the end. The columns and
+    ``rows[t]`` are read once per revision; if they shrink meanwhile, they
+    are a sound superset and the pair that shrank is queued.
 
     The first revision that empties a relation empties the whole store and
     ends the loop: revising x->k through an empty x->y empties x->k for
@@ -455,9 +511,28 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     The result is bit-identical to the naive full-sweep loop in
     :func:`path_consistency_sweeps`; empty relations are a legitimate result
     signaling unsatisfiability evidence, never an error.
+
+    When some value lacks support in a constraint (:func:`_supported`) and
+    every variable keeps a supported one, the worklist runs over the
+    supported values only, at the stride of the widest kept domain. That is
+    exact: revising x->x through y clears an unsupported value, so it is
+    empty at the greatest fixed point, which is therefore also the greatest
+    fixed point below the store with those values emptied. ``shrank`` keeps
+    its meaning, that the fixed point differs from the normalized store; a
+    dropped value counts only where the normalized store has a bit for it,
+    so when the kept values' store did not shrink, the fixed point is
+    compared with the normalized store.
     """
-    rel, n = _relation_store(bcs), len(bcs.variables)
+    n = len(bcs.variables)
     seeds = ((a, b) for a in range(n) for b in range(a, n))
+    kept = _supported(bcs)
+    if all(kept) and sum(map(len, kept)) < sum(len(v.domain) for v in bcs.variables):
+        stride = max(map(len, kept))
+        rel = _relation_store(bcs, kept)
+        shrank = _propagate(rel, seeds, stride)
+        rel = _spread(rel, kept, stride, bcs._stride)
+        return PropagatedBcs(bcs, rel, shrank or rel != _relation_store(bcs))
+    rel = _relation_store(bcs)
     return PropagatedBcs(bcs, rel, _propagate(rel, seeds, bcs._stride))
 
 

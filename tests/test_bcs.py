@@ -28,6 +28,7 @@ from oc_reason import (
     path_consistency,
     path_consistency_sweeps,
     pin,
+    pure_nash_equilibria,
     random_bcs,
     refuted,
 )
@@ -826,3 +827,134 @@ class TestRowKernel:
                 self.assert_same_propagation(rel, [(min(i, j), max(i, j))], stride)
                 seen["emptied" if not rel[0][0] else "narrowed"] += 1
         assert seen["emptied"] >= 10 and seen["narrowed"] >= 30
+
+
+def full_stride_propagation(b):
+    """The worklist from every pair of the normalized store at the stride of
+    the widest declared domain, as ``path_consistency`` ran before it
+    dropped unsupported values: the store and ``shrank``."""
+    rel, n = _relation_store(b), len(b.variables)
+    return rel, bcs_module._propagate(rel, [(a, c) for a in range(n) for c in range(a, n)],
+                                      b._stride)
+
+
+def pinned_planted(seed, count):
+    """Planted structures with one to three variables pinned to a value by a
+    self-loop constraint."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        b = planted_bcs(rng, rng.randint(4, 12), density=rng.choice((0.3, 0.6)),
+                        pair_bit=rng.choice((0.3, 0.6)), planted=rng.randint(0, 2))
+        yield b.with_constraints(pin(x.id, x.domain, rng.choice(x.domain))
+                                 for x in rng.sample(b.variables, rng.randint(1, 3)))
+
+
+def rebuilt(b):
+    """``b``'s variables constrained by its fixed point's pairs: a fixed point
+    already, whose unsupported values have no bit in the normalized store."""
+    prop = path_consistency_sweeps(b)
+    return Bcs(b.variables, tuple(prop.pair(x.id, y.id) for x in b.variables
+                                  for y in b.variables))
+
+
+def nash_structures(seed, count):
+    """Assumption structures of pure-Nash self-loops alone over 4x4 and 4x5
+    games that each have a pure equilibrium and a non-equilibrium outcome."""
+    rng = random.Random(seed)
+
+    def game(name, cols):
+        while True:
+            g = NormalFormGame.two_player(
+                name, ("r0", "r1", "r2", "r3"), tuple(f"c{j}" for j in range(cols)),
+                [[(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(cols)]
+                 for _ in range(4)])
+            if 0 < len(pure_nash_equilibria(g)) < 4 * cols:
+                return g
+
+    for _ in range(count):
+        games = [game(f"G{k}", rng.choice((4, 5))) for k in range(rng.randint(1, 4))]
+        yield build_assumption_bcs(games, AssumptionSelection(nash=True))
+
+
+class TestSupportedValues:
+    """``path_consistency`` propagates only the values that every constraint
+    supports, at the stride of the widest kept domain. Its store, ``shrank``
+    and ``has_empty`` must equal those of the sweeps and of the worklist at
+    full stride, whichever branch runs."""
+
+    @staticmethod
+    def record(monkeypatch, name):
+        """The arguments and the result of every call of the module function
+        ``name``."""
+        calls, original = [], getattr(bcs_module, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            calls.append((args, out))
+            return out
+        monkeypatch.setattr(bcs_module, name, wrapper)
+        return calls
+
+    def test_equals_the_sweeps_and_the_full_stride_worklist(self, monkeypatch):
+        dom = ("a", "b", "c")
+        rng = random.Random(84)
+        structures = {
+            "csp": list(csp_encodings(81, 4)),
+            "games": list(game_structures(82, 6)),
+            "pinned": list(pinned_planted(83, 12)),
+            "one variable": [
+                Bcs.create([("X", dom)]),
+                Bcs.create([("X", dom)], [pin("X", dom, "b")]),
+                Bcs.create([("X", dom)], [rel("X", "X", dom, dom, [("a", "b"), ("c", "c")])]),
+                Bcs.create([("X", dom)], [Correspondence.empty("X", "X", dom, dom)]),
+            ],
+        }
+        structures["rebuilt"] = [rebuilt(b) for b in structures["csp"] + structures["games"]
+                                 + structures["pinned"]]
+        structures["empty constraint"] = [
+            b.with_constraints([Correspondence.empty(x.id, y.id, x.domain, y.domain)])
+            for b in structures["games"][:3] + structures["pinned"][:3]
+            for x, y in [rng.sample(b.variables, 2)]]
+        propagations = self.record(monkeypatch, "_propagate")
+        spread = self.record(monkeypatch, "_spread")
+        seen = Counter()
+        for kind, bs in structures.items():
+            for b in bs:
+                store, shrank = full_stride_propagation(b)
+                slow = path_consistency_sweeps(b)
+                propagations.clear()
+                spread.clear()
+                fast = path_consistency(b)
+                assert fast._store == store == slow._store
+                assert fast.shrank == shrank == slow.shrank
+                assert fast.has_empty == slow.has_empty
+                seen[kind, "supported" if spread else "full"] += 1
+                if spread:
+                    (_, narrowed), = propagations
+                    seen["narrowed" if narrowed else "dropped values only" if fast.shrank
+                         else "unchanged"] += 1
+        assert seen["csp", "supported"] == 4 and seen["games", "supported"] == 6
+        assert seen["pinned", "supported"] >= 3 and seen["pinned", "full"] >= 3
+        assert seen["one variable", "supported"] == 2 and seen["one variable", "full"] == 2
+        assert seen["empty constraint", "full"] == 6 and seen["rebuilt", "supported"] >= 10
+        assert seen["narrowed"] >= 6 and seen["unchanged"] >= 10
+        assert seen["dropped values only"] >= 4
+
+    def test_the_stride_it_propagates_at(self, monkeypatch):
+        propagations = self.record(monkeypatch, "_propagate")
+        below = list(csp_encodings(85, 4)) + list(nash_structures(86, 8))
+        rng = random.Random(87)
+        # colourings, and isomorphism constraints between a game and its copy
+        everywhere = [coloring_bcs(rng, rng.randint(3, 8), 0.6) for _ in range(6)]
+        for _ in range(4):
+            g = NormalFormGame.two_player(
+                "B", ("r0", "r1", "r2", "r3"), ("c0", "c1", "c2", "c3"),
+                [[(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(4)] for _ in range(4)])
+            everywhere.append(build_assumption_bcs([g, affine_copy(rng, g, "C")],
+                                                   AssumptionSelection(isomorphism=True)))
+        for structures, below_stride in ((below, True), (everywhere, False)):
+            for b in structures:
+                propagations.clear()
+                path_consistency(b)
+                ((_, _, stride), _), = propagations
+                assert stride < b._stride if below_stride else stride == b._stride
