@@ -34,10 +34,11 @@ without support: an empty row where its variable is the source, an empty
 column where it is the target, a missing diagonal pair in a self-loop.
 Dropping is exact. Revising x->x through y clears such a value, so it is
 empty at the greatest fixed point, and the greatest fixed point below the
-store with it emptied is the same. When some value is dropped and every
-variable keeps one, the store is built over the kept values, propagated at
-the stride of the widest kept domain, and spread back to stride D with the
-dropped values empty. The paper's assumptions make this the common case:
+store with it emptied is the same. The store is built over the kept
+values, propagated at the stride of the widest kept domain, and spread back
+to stride D with the dropped values empty. A variable that keeps no value
+has empty relations, so the first revision through it empties the store,
+its greatest fixed point. The paper's assumptions make dropping common:
 Nash self-loops keep only the equilibria, dominance drops eliminated
 profiles, and a CSP encoding's 16-outcome variable games keep their 4
 diagonal outcomes.
@@ -512,10 +513,9 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     :func:`path_consistency_sweeps`; empty relations are a legitimate result
     signaling unsatisfiability evidence, never an error.
 
-    When some value lacks support in a constraint (:func:`_supported`) and
-    every variable keeps a supported one, the worklist runs over the
-    supported values only, at the stride of the widest kept domain. That is
-    exact: revising x->x through y clears an unsupported value, so it is
+    The worklist runs over the values that every constraint supports
+    (:func:`_supported`) only, at the stride of the widest kept domain. That
+    is exact: revising x->x through y clears an unsupported value, so it is
     empty at the greatest fixed point, which is therefore also the greatest
     fixed point below the store with those values emptied. ``shrank`` keeps
     its meaning, that the fixed point differs from the normalized store; a
@@ -524,16 +524,12 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     compared with the normalized store.
     """
     n = len(bcs.variables)
-    seeds = ((a, b) for a in range(n) for b in range(a, n))
     kept = _supported(bcs)
-    if all(kept) and sum(map(len, kept)) < sum(len(v.domain) for v in bcs.variables):
-        stride = max(map(len, kept))
-        rel = _relation_store(bcs, kept)
-        shrank = _propagate(rel, seeds, stride)
-        rel = _spread(rel, kept, stride, bcs._stride)
-        return PropagatedBcs(bcs, rel, shrank or rel != _relation_store(bcs))
-    rel = _relation_store(bcs)
-    return PropagatedBcs(bcs, rel, _propagate(rel, seeds, bcs._stride))
+    stride = max(map(len, kept), default=0)
+    rel = _relation_store(bcs, kept)
+    shrank = _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)), stride)
+    rel = _spread(rel, kept, stride, bcs._stride)
+    return PropagatedBcs(bcs, rel, shrank or rel != _relation_store(bcs))
 
 
 def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:

@@ -642,6 +642,38 @@ def game_structures(seed, count):
         yield build_assumption_bcs(games, selection)
 
 
+def pinned_planted(seed, count):
+    """Planted structures with one to three variables pinned to a value by a
+    self-loop constraint."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        b = planted_bcs(rng, rng.randint(4, 12), density=rng.choice((0.3, 0.6)),
+                        pair_bit=rng.choice((0.3, 0.6)), planted=rng.randint(0, 2))
+        yield b.with_constraints(pin(x.id, x.domain, rng.choice(x.domain))
+                                 for x in rng.sample(b.variables, rng.randint(1, 3)))
+
+
+def rebuilt(b):
+    """``b``'s variables constrained by its fixed point's pairs: a fixed point
+    already, whose unsupported values have no bit in the normalized store."""
+    prop = path_consistency_sweeps(b)
+    return Bcs(b.variables, tuple(prop.pair(x.id, y.id) for x in b.variables
+                                  for y in b.variables))
+
+
+def record_calls(monkeypatch, name):
+    """The arguments and the result of every call of the module function
+    ``name``."""
+    calls, original = [], getattr(bcs_module, name)
+
+    def wrapper(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+    monkeypatch.setattr(bcs_module, name, wrapper)
+    return calls
+
+
 def packed_transpose(packed, stride):
     """The transpose of a packed relation, bit by bit."""
     return sum(1 << (b % stride) * stride + b // stride
@@ -657,13 +689,31 @@ class TestPackedStore:
     """The packed kernel against the sweeps, which revise through the public
     algebra on tuple rows, on domains wider than the acceptance suite's."""
 
-    def test_worklist_equals_sweeps(self):
-        structures = list(wide_structures(71, 45)) + list(game_structures(72, 8))
+    def test_worklist_equals_sweeps(self, monkeypatch):
+        # the worklist runs over the supported values only; the sweeps keep
+        # every value. CSP encodings, pinned and rebuilt structures drop
+        # values, a rebuilt one only values the normalized store has empty,
+        # and an everywhere-empty constraint leaves a variable none
+        dom = ("a", "b", "c")
+        rng = random.Random(84)
+        games, pinned = list(game_structures(72, 8)), list(pinned_planted(83, 12))
+        csp = list(csp_encodings(81, 4))
+        structures = list(wide_structures(71, 45)) + games + csp + pinned
+        structures += [rebuilt(b) for b in csp + games + pinned]
+        structures += [b.with_constraints([Correspondence.empty(x.id, y.id, x.domain, y.domain)])
+                       for b in games[:3] + pinned[:3] for x, y in [rng.sample(b.variables, 2)]]
+        structures += [
+            Bcs.create([("X", dom)]),
+            Bcs.create([("X", dom)], [pin("X", dom, "b")]),
+            Bcs.create([("X", dom)], [rel("X", "X", dom, dom, [("a", "b"), ("c", "c")])]),
+            Bcs.create([("X", dom)], [Correspondence.empty("X", "X", dom, dom)]),
+        ]
+        propagations = record_calls(monkeypatch, "_propagate")
         seen = Counter()
         for b in structures:
+            propagations.clear()
             fast, slow = path_consistency(b), path_consistency_sweeps(b)
-            assert all(fast.pair(x.id, y.id) == slow.pair(x.id, y.id)
-                       for x in b.variables for y in b.variables)
+            assert fast._store == slow._store
             assert (fast.shrank, fast.has_empty) == (slow.shrank, slow.has_empty)
             given = [given_relation(b, x.id, y.id) for x in b.variables for y in b.variables]
             seen["emptied mid-loop"] += fast.has_empty and \
@@ -671,9 +721,18 @@ class TestPackedStore:
             seen["narrowed, not empty"] += fast.shrank and not fast.has_empty
             seen["stride above a domain"] += any(len(v.domain) < b._stride for v in b.variables)
             seen[f"{b._stride} outcomes, narrowed"] += fast.shrank and b.variables[0].id == "B"
+            kept = bcs_module._supported(b)
+            if not all(kept):
+                seen["a variable keeps no value"] += 1
+            elif sum(map(len, kept)) < sum(len(v.domain) for v in b.variables):
+                (_, narrowed), = propagations
+                seen["kept values narrowed" if narrowed else "dropped values only"
+                     if fast.shrank else "dropped values, unchanged"] += 1
         assert seen["emptied mid-loop"] >= 8 and seen["narrowed, not empty"] >= 15
         assert seen["stride above a domain"] >= 40
         assert seen["16 outcomes, narrowed"] >= 3 and seen["20 outcomes, narrowed"] >= 3
+        assert seen["a variable keeps no value"] >= 10 and seen["kept values narrowed"] >= 20
+        assert seen["dropped values only"] >= 6 and seen["dropped values, unchanged"] >= 12
 
     def test_every_narrowing_keeps_the_transposes(self, monkeypatch):
         # the stores that the path-consistency, _decide's narrowed copies and
@@ -829,34 +888,6 @@ class TestRowKernel:
         assert seen["emptied"] >= 10 and seen["narrowed"] >= 30
 
 
-def full_stride_propagation(b):
-    """The worklist from every pair of the normalized store at the stride of
-    the widest declared domain, as ``path_consistency`` ran before it
-    dropped unsupported values: the store and ``shrank``."""
-    rel, n = _relation_store(b), len(b.variables)
-    return rel, bcs_module._propagate(rel, [(a, c) for a in range(n) for c in range(a, n)],
-                                      b._stride)
-
-
-def pinned_planted(seed, count):
-    """Planted structures with one to three variables pinned to a value by a
-    self-loop constraint."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        b = planted_bcs(rng, rng.randint(4, 12), density=rng.choice((0.3, 0.6)),
-                        pair_bit=rng.choice((0.3, 0.6)), planted=rng.randint(0, 2))
-        yield b.with_constraints(pin(x.id, x.domain, rng.choice(x.domain))
-                                 for x in rng.sample(b.variables, rng.randint(1, 3)))
-
-
-def rebuilt(b):
-    """``b``'s variables constrained by its fixed point's pairs: a fixed point
-    already, whose unsupported values have no bit in the normalized store."""
-    prop = path_consistency_sweeps(b)
-    return Bcs(b.variables, tuple(prop.pair(x.id, y.id) for x in b.variables
-                                  for y in b.variables))
-
-
 def nash_structures(seed, count):
     """Assumption structures of pure-Nash self-loops alone over 4x4 and 4x5
     games that each have a pure equilibrium and a non-equilibrium outcome."""
@@ -878,70 +909,10 @@ def nash_structures(seed, count):
 
 class TestSupportedValues:
     """``path_consistency`` propagates only the values that every constraint
-    supports, at the stride of the widest kept domain. Its store, ``shrank``
-    and ``has_empty`` must equal those of the sweeps and of the worklist at
-    full stride, whichever branch runs."""
-
-    @staticmethod
-    def record(monkeypatch, name):
-        """The arguments and the result of every call of the module function
-        ``name``."""
-        calls, original = [], getattr(bcs_module, name)
-
-        def wrapper(*args):
-            out = original(*args)
-            calls.append((args, out))
-            return out
-        monkeypatch.setattr(bcs_module, name, wrapper)
-        return calls
-
-    def test_equals_the_sweeps_and_the_full_stride_worklist(self, monkeypatch):
-        dom = ("a", "b", "c")
-        rng = random.Random(84)
-        structures = {
-            "csp": list(csp_encodings(81, 4)),
-            "games": list(game_structures(82, 6)),
-            "pinned": list(pinned_planted(83, 12)),
-            "one variable": [
-                Bcs.create([("X", dom)]),
-                Bcs.create([("X", dom)], [pin("X", dom, "b")]),
-                Bcs.create([("X", dom)], [rel("X", "X", dom, dom, [("a", "b"), ("c", "c")])]),
-                Bcs.create([("X", dom)], [Correspondence.empty("X", "X", dom, dom)]),
-            ],
-        }
-        structures["rebuilt"] = [rebuilt(b) for b in structures["csp"] + structures["games"]
-                                 + structures["pinned"]]
-        structures["empty constraint"] = [
-            b.with_constraints([Correspondence.empty(x.id, y.id, x.domain, y.domain)])
-            for b in structures["games"][:3] + structures["pinned"][:3]
-            for x, y in [rng.sample(b.variables, 2)]]
-        propagations = self.record(monkeypatch, "_propagate")
-        spread = self.record(monkeypatch, "_spread")
-        seen = Counter()
-        for kind, bs in structures.items():
-            for b in bs:
-                store, shrank = full_stride_propagation(b)
-                slow = path_consistency_sweeps(b)
-                propagations.clear()
-                spread.clear()
-                fast = path_consistency(b)
-                assert fast._store == store == slow._store
-                assert fast.shrank == shrank == slow.shrank
-                assert fast.has_empty == slow.has_empty
-                seen[kind, "supported" if spread else "full"] += 1
-                if spread:
-                    (_, narrowed), = propagations
-                    seen["narrowed" if narrowed else "dropped values only" if fast.shrank
-                         else "unchanged"] += 1
-        assert seen["csp", "supported"] == 4 and seen["games", "supported"] == 6
-        assert seen["pinned", "supported"] >= 3 and seen["pinned", "full"] >= 3
-        assert seen["one variable", "supported"] == 2 and seen["one variable", "full"] == 2
-        assert seen["empty constraint", "full"] == 6 and seen["rebuilt", "supported"] >= 10
-        assert seen["narrowed"] >= 6 and seen["unchanged"] >= 10
-        assert seen["dropped values only"] >= 4
+    supports, at the stride of the widest kept domain."""
 
     def test_the_stride_it_propagates_at(self, monkeypatch):
-        propagations = self.record(monkeypatch, "_propagate")
+        propagations = record_calls(monkeypatch, "_propagate")
         below = list(csp_encodings(85, 4)) + list(nash_structures(86, 8))
         rng = random.Random(87)
         # colourings, and isomorphism constraints between a game and its copy

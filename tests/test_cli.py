@@ -351,12 +351,16 @@ class TestGen:
 class TestCspToSiAgainstReferences:
     def test_dump_and_verdicts(self, tmp_path, capsys):
         # propagate --dump against the sweeps' fixed point, and check-si in
-        # every mode against the oracle on the structure plus the complement
+        # every mode against the oracle on the structure plus the complement;
+        # the last two are the CSPs of the CI's cold-CLI step
         verdicts = set()
-        for seed in range(1, 7):
-            source, out = tmp_path / f"src{seed}", tmp_path / f"bundle{seed}"
-            assert main(["--seed", str(seed), "gen", "random-csp", "--vars", "4",
-                         "--domain", "3", "--density", "0.8", "--out", str(source)]) == 0
+        small = ["--vars", "4", "--domain", "3", "--density", "0.8"]
+        runs = [(seed, small) for seed in range(1, 7)]
+        runs += [(seed, ["--vars", "6", "--density", "0.3"]) for seed in (1, 2)]
+        for k, (seed, shape) in enumerate(runs):
+            source, out = tmp_path / f"src{k}", tmp_path / f"bundle{k}"
+            assert main(["--seed", str(seed), "gen", "random-csp", *shape,
+                         "--out", str(source)]) == 0
             assert main(["gen", "csp-to-si", "--source", str(source / "random_csp.json"),
                          "--out", str(out)]) == 0
             path, dump = out / "csp_si_bcs.json", out / "fixed.json"
