@@ -385,14 +385,12 @@ def _spread(rel: _Store, kept: Sequence[Sequence[int]], stride: int, to: int) ->
     return out
 
 
-def _narrow(rel: _Store, x: int, y: int, packed: int, stride: int) -> bool:
+def _narrow(rel: _Store, x: int, y: int, packed: int, stride: int) -> None:
     """Store ``packed``, a subset of ``rel[x][y]``, as the x->y relation and
-    its transpose as y->x; returns True when the relation shrank."""
-    if packed == rel[x][y]:
-        return False
-    rel[x][y] = packed
-    rel[y][x] = _transpose(packed, stride)
-    return True
+    its transpose as y->x, in place."""
+    if packed != rel[x][y]:
+        rel[x][y] = packed
+        rel[y][x] = _transpose(packed, stride)
 
 
 @dataclass(frozen=True)
@@ -402,16 +400,19 @@ class PropagatedBcs:
     ``pair(x, y)`` is the minimal derived correspondence of an ordered pair
     (the diagonal included), read from the directed store on each call;
     ``pair(y, x)`` is always the inverse of ``pair(x, y)``. ``shrank``
-    records whether propagation narrowed any relation of the normalized
-    input (the intersection of the given constraints per pair); ``has_empty``
-    whether some derived correspondence is everywhere-empty (the refutation
-    signal).
+    says whether the fixed point differs from the normalized input (the
+    intersection of the given constraints per pair), read from the two
+    stores; ``has_empty`` whether some derived correspondence is
+    everywhere-empty (the refutation signal).
     """
 
     bcs: Bcs
     _store: _Store = field(repr=False)
-    shrank: bool
     sweeps: int | None = None
+
+    @functools.cached_property
+    def shrank(self) -> bool:
+        return self._store != _relation_store(self.bcs)
 
     @property
     def has_empty(self) -> bool:
@@ -432,13 +433,13 @@ class PropagatedBcs:
         return self.shrank
 
 
-def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bool:
+def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> None:
     """The worklist loop: revise every relation that a queued pair (a, b),
-    a <= b, feeds until the queue is empty; returns True when any relation
-    shrank. Queuing a pair whenever its relation shrinks keeps the invariant
-    that every unqueued pair has been revised against the current store, so
-    the loop ends at the greatest fixed point below ``rel`` provided every
-    pair whose relation is not already consistent with the rest is seeded.
+    a <= b, feeds until the queue is empty, narrowing ``rel`` in place.
+    Queuing a pair whenever its relation shrinks keeps the invariant that
+    every unqueued pair has been revised against the current store, so the
+    loop ends at the greatest fixed point below ``rel`` provided every pair
+    whose relation is not already consistent with the rest is seeded.
 
     The loop works on row ints: with D the stride it is given, ``rows[x]``
     packs x's relations with stride D * D, x->y in the block at
@@ -465,7 +466,6 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
     changed = set()
     queue = deque(seeds)
     queued = set(queue)
-    shrank = False
     while queue:
         a, b = queue.popleft()
         queued.discard((a, b))
@@ -482,7 +482,6 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
                 continue
             rows[x] = narrowed
             changed.add(x)
-            shrank = True
             lost = row_x ^ narrowed
             while lost:
                 y = ((lost & -lost).bit_length() - 1) // block
@@ -491,7 +490,7 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
                 if not packed:
                     for row in rel:
                         row[:] = [0] * n
-                    return True
+                    return
                 if y != x:
                     rows[y] = rows[y] & ~(full_block << x * block) | \
                         _transpose(packed, stride) << x * block
@@ -502,7 +501,6 @@ def _propagate(rel: _Store, seeds: Iterable[tuple[int, int]], stride: int) -> bo
                     queue.append(key)
     for x in changed:
         rel[x][:] = [rows[x] >> y * block & full_block for y in range(n)]
-    return shrank
 
 
 def path_consistency(bcs: Bcs) -> PropagatedBcs:
@@ -517,19 +515,14 @@ def path_consistency(bcs: Bcs) -> PropagatedBcs:
     (:func:`_supported`) only, at the stride of the widest kept domain. That
     is exact: revising x->x through y clears an unsupported value, so it is
     empty at the greatest fixed point, which is therefore also the greatest
-    fixed point below the store with those values emptied. ``shrank`` keeps
-    its meaning, that the fixed point differs from the normalized store; a
-    dropped value counts only where the normalized store has a bit for it,
-    so when the kept values' store did not shrink, the fixed point is
-    compared with the normalized store.
+    fixed point below the store with those values emptied.
     """
     n = len(bcs.variables)
     kept = _supported(bcs)
     stride = max(map(len, kept), default=0)
     rel = _relation_store(bcs, kept)
-    shrank = _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)), stride)
-    rel = _spread(rel, kept, stride, bcs._stride)
-    return PropagatedBcs(bcs, rel, shrank or rel != _relation_store(bcs))
+    _propagate(rel, ((a, b) for a in range(n) for b in range(a, n)), stride)
+    return PropagatedBcs(bcs, _spread(rel, kept, stride, bcs._stride))
 
 
 def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
@@ -537,7 +530,7 @@ def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
     triples until a sweep makes no progress, revising through the public
     :func:`compose` and :func:`intersect`. Records the sweep count, which is
     bounded by (number of variables)^2 * (max domain size)^2."""
-    normalized = PropagatedBcs(bcs, _relation_store(bcs), False)
+    normalized = PropagatedBcs(bcs, _relation_store(bcs))
     rel = [[normalized.pair(x.id, y.id) for y in bcs.variables] for x in bcs.variables]
     sweeps, progress = 0, True
     while progress:
@@ -548,9 +541,8 @@ def path_consistency_sweeps(bcs: Bcs) -> PropagatedBcs:
             if revised != rel[x][y]:
                 rel[x][y], rel[y][x] = revised, inverse(revised)
                 progress = True
-    # a sweep without progress ends the loop, so any narrowing takes two
     return PropagatedBcs(bcs, [[_pack(c.rows, bcs._stride) for c in row] for row in rel],
-                         sweeps > 1, sweeps)
+                         sweeps)
 
 
 def enumerate_satisfying(bcs: Bcs, limit: int | None = None) -> list[Assignment]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import random
 import sys
@@ -197,17 +198,16 @@ def cmd_closedness(args, report) -> int:
 def cmd_assume(args, report) -> int:
     games = [serialize.load_game(p) for p in args.games]
     if args.discover_risk:
+        if len({g.name for g in games}) != len(games):
+            raise InputError("duplicate game names")
         entries = []
-        for g1 in games:
-            for g2 in games:
-                if g1.name == g2.name:
-                    continue
-                for lab in discover_risk_labelings(g1, g2):
-                    entries.append({
-                        "g1": lab.g1, "g2": lab.g2,
-                        "a1": [list(lab.g1_top), list(lab.g2_top)],
-                        "a2": [list(lab.g1_safe), list(lab.g2_safe)],
-                    })
+        for g1, g2 in itertools.permutations(games, 2):
+            for lab in discover_risk_labelings(g1, g2):
+                entries.append({
+                    "g1": lab.g1, "g2": lab.g2,
+                    "a1": [list(lab.g1_top), list(lab.g2_top)],
+                    "a2": [list(lab.g1_safe), list(lab.g2_safe)],
+                })
         report["labelings"] = entries
         print(serialize.dumps({"decreasing_risk": entries}), end="")
         return EXIT_OK

@@ -27,8 +27,8 @@ from __future__ import annotations
 import collections
 import itertools
 import warnings
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 from . import assumptions as asm
 from .bcs import Bcs, Correspondence, _closure, _mutual
@@ -69,10 +69,14 @@ def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, list[list[int]]
     for v in bcs.variables:
         if v.id not in orders:
             raise InputError(f"no order supplied for variable {v.id!r}")
-        order = tuple(orders[v.id])
-        # the domain's values are distinct, and sorting could not compare
-        # values of different types
-        if len(order) != len(v.domain) or set(order) != set(v.domain):
+        try:
+            order = tuple(orders[v.id])
+            # the domain's values are distinct, and sorting could not compare
+            # values of different types
+            permutation = len(order) == len(v.domain) and set(order) == set(v.domain)
+        except TypeError:       # not iterable, or an unhashable value
+            permutation = False
+        if not permutation:
             raise InputError(f"order for {v.id!r} is not a permutation of its domain")
         tables[v.id] = _max_table(v.domain, order)
     return tables
@@ -118,6 +122,8 @@ def _join_tables(bcs: Bcs, joins: JoinFamily) -> dict[str, list[list[int]]]:
         if v.id not in joins:
             raise InputError(f"no join operator supplied for variable {v.id!r}")
         table, dom = joins[v.id], v.domain
+        if not isinstance(table, Mapping):
+            raise InputError(f"join table for {v.id!r} is not a mapping")
         pos = {a: i for i, a in enumerate(dom)}
         t = tables[v.id] = [[0] * len(dom) for _ in dom]
         for (i, a), (j, b) in itertools.product(enumerate(dom), repeat=2):

@@ -445,6 +445,13 @@ class TestGameNames:
                      "--out", str(tmp_path / "out.json")]) == 1
         assert "game name must be a non-empty string" in capsys.readouterr().err
 
+    def test_duplicate_names_are_rejected_when_discovering_risk(self, tmp_path, capsys):
+        left, right, _ = stag_hunt_pair()
+        paths = [self.write(tmp_path, "s1", "S", left), self.write(tmp_path, "s2", "S", right)]
+        for flags in (["--discover-risk"], ["--isomorphism", "--out", str(tmp_path / "o.json")]):
+            assert main(["assume", *paths, *flags]) == 1
+            assert capsys.readouterr() == ("", "error: duplicate game names\n")
+
 
 class TestAttachedGameNames:
     """A game attached to a variable is named after the variable id, so a

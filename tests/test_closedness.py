@@ -17,10 +17,14 @@ from oc_reason import (
     ClosednessReport,
     ClosednessWitness,
     Correspondence,
+    DecisionMode,
     InputError,
     NormalFormGame,
+    Preference,
     build_assumption_bcs,
     csp_to_si_games,
+    decide_si,
+    find_any_si,
     is_join_closed,
     is_max_closed,
     join_incompleteness_instance,
@@ -163,6 +167,30 @@ class TestJoinClosed:
         with pytest.raises(InputError, match=re.escape(
                 "associativity fails for 'X' at ('a', 'a', 'b')")):
             validate_join_family(Bcs.create([("X", dom)]), {"X": table})
+
+    @pytest.mark.parametrize("query", ["check", "decide_si", "find_any_si"])
+    @pytest.mark.parametrize("kind, certificate, message", [
+        ("orders", {"X": (["x1"], "x2"), "Y": DOMY}, "order for 'X' is not a permutation"),
+        ("orders", {"X": 5, "Y": DOMY}, "order for 'X' is not a permutation"),
+        ("orders", {"X": DOM2, "Y": ("y1", {"y2"})}, "order for 'Y' is not a permutation"),
+        ("joins", {"X": 5, "Y": {}}, "join table for 'X' is not a mapping"),
+        ("joins", {"X": joins_from_orders(crossing_bcs(), {"X": DOM2, "Y": DOMY})["X"],
+                   "Y": [(("y1", "y1"), "y1")]}, "join table for 'Y' is not a mapping"),
+    ])
+    def test_malformed_certificate_is_input_error(self, query, kind, certificate, message):
+        bcs = crossing_bcs()
+        mode = DecisionMode.PROPAGATION if kind == "orders" else DecisionMode.REFUTATION
+        pref = Preference.from_relation({v.id: v.domain for v in bcs.variables},
+                                        lambda a, b: a[1] >= b[1])
+        run = {
+            "check": lambda: (is_max_closed if kind == "orders" else is_join_closed)(
+                bcs, certificate),
+            "decide_si": lambda: decide_si(bcs, "X", "Y", pref, mode=mode,
+                                           **{kind: certificate}),
+            "find_any_si": lambda: find_any_si(bcs, pref, mode=mode, **{kind: certificate}),
+        }[query]
+        with pytest.raises(InputError, match=re.escape(message)):
+            run()
 
     def test_equals_the_triple_scan(self):
         rng = random.Random(46)
