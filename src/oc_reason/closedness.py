@@ -1,26 +1,26 @@
 """Structural conditions under which propagation is complete.
 
 Max-closedness: per-variable total orders such that every constraint contains
-the coordinatewise maximum of any two of its pairs. Join-closedness is the
-semilattice generalization via least-upper-bound operators. This module
-verifies both conditions (with violation witnesses), searches for certifying
-orders by brute force, and constructs certifying orders for
-assumption-generated structures. Every certificate is read in one form, a
-join table per variable over domain positions: orders become max tables,
-and label join tables are converted while their axioms are checked (by
-comparing up-sets). One scan tests a constraint's pairs two at a time by a
-bit of its rows, and names labels only in a witness. Hasse diagrams compile
-to join tables by the one bitmask closure `bcs._closure`. Order construction
-learns which assumption generated each constraint from
-`assumptions._constraint_records`: the derivation `build_assumption_bcs`
-attached to the structure, with its search memo, or else a fresh derivation
-of every family over the games. It then orders the games in one
-breadth-first pass over the isomorphism edges: from the decreasing-risk
+the coordinatewise maximum of any two of its pairs; join-closedness is its
+semilattice generalization. This module verifies both (with violation
+witnesses), searches for certifying orders by brute force and constructs them
+for assumption-generated structures. Orders, and join tables that are a
+chain's max table (as those from `joins_from_orders` and chain Hasse diagrams
+are), are read as ranks, and a constraint between chains takes the rank
+check: with rows in source rank order and bits moved to target ranks, no row
+r may miss a value that an earlier row holds at or above r's least value.
+That is exact: for rows a < a', the max of (a, b) and (a', b') is (a', max(b,
+b')), missing exactly when b > b' and b is not in row a'. A constraint on
+another semilattice takes the pair scan, which tests pairs two at a time
+through tables over domain positions; on any violation the pair scan names
+the witness. Hasse diagrams compile to join tables by the one bitmask closure
+`bcs._closure`. Order construction reads which assumption generated each
+constraint from `assumptions._constraint_records`, then orders the games in
+one breadth-first pass over the isomorphism edges: from the decreasing-risk
 games first, then from each still unordered fully reduced game in list
-order, each reached game taking its parent's order carried across an
-isomorphism. Such a root's own order is its identity transport: its sorted
-labels carried across the first automorphism, which is the identity. Games
-with dominated actions come last, from their full reductions' orders."""
+order (by its identity transport), each reached game taking its parent's
+order carried across an isomorphism. Games with dominated actions come
+last, from their full reductions' orders."""
 
 from __future__ import annotations
 
@@ -57,15 +57,15 @@ class ClosednessReport:
     witness: ClosednessWitness | None = None
 
 
-def _max_table(domain: Sequence[str], order: Sequence[str]) -> list[list[int]]:
-    """The max operator of ``order``, a permutation of ``domain`` listed in
-    ascending order, as a join table over domain positions."""
-    rank = [order.index(value) for value in domain]
+def _max_table(rank: Sequence[int]) -> list[list[int]]:
+    """The max table over domain positions of the chain of these ranks."""
     return [[a if ra >= rb else b for b, rb in enumerate(rank)] for a, ra in enumerate(rank)]
 
 
-def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, list[list[int]]]:
-    tables = {}
+def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, list[int]]:
+    if not isinstance(orders, Mapping):
+        raise InputError("orders are not a mapping")
+    ranks = {}
     for v in bcs.variables:
         if v.id not in orders:
             raise InputError(f"no order supplied for variable {v.id!r}")
@@ -78,15 +78,34 @@ def _check_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, list[list[int]]
             permutation = False
         if not permutation:
             raise InputError(f"order for {v.id!r} is not a permutation of its domain")
-        tables[v.id] = _max_table(v.domain, order)
-    return tables
+        ranks[v.id] = list(map({value: r for r, value in enumerate(order)}.__getitem__, v.domain))
+    return ranks
+
+
+def _rank_closed(constraints: Iterable[Correspondence], ranks: Mapping[str, Sequence[int]]) -> bool:
+    """Whether the constraints join chains of ``ranks`` (per variable, the
+    rank of each domain position) and are closed under their max operators,
+    by the rank check (see the module docstring)."""
+    for c in constraints:
+        if c.source not in ranks or c.target not in ranks:
+            return False
+        ranked, target_rank, seen = [0] * len(c.rows), ranks[c.target], 0
+        for i, row in zip(ranks[c.source], c.rows):
+            while row:
+                ranked[i] |= 1 << target_rank[(row & -row).bit_length() - 1]
+                row &= row - 1
+        for row in ranked:
+            if seen & -(row & -row) & ~row:
+                return False
+            seen |= row
+    return True
 
 
 def _scan_closure(constraints: Iterable[tuple[int, Correspondence]],
                   tables: Mapping[str, Sequence[Sequence[int]]]) -> ClosednessReport:
-    """The closure scan over (index in the structure, constraint) pairs:
-    each pair of a constraint's rows, in row-major order, against every
-    later one, joined through the per-variable position tables."""
+    """The pair scan over (index in the structure, constraint) pairs: each
+    pair of a constraint's rows, in row-major order, against every later
+    one, joined through the per-variable position tables, in O(|R|^2)."""
     for idx, c in constraints:
         tx, ty, rows = tables[c.source], tables[c.target], c.rows
         sd, td = c.source_domain, c.target_domain
@@ -104,36 +123,45 @@ def _scan_closure(constraints: Iterable[tuple[int, Correspondence]],
 def is_max_closed(bcs: Bcs, orders: VariableOrders) -> ClosednessReport:
     """Check every constraint against the max-closedness definition; the first
     violation in deterministic scan order is reported as a witness."""
-    return _scan_closure(enumerate(bcs.constraints), _check_orders(bcs, orders))
+    ranks = _check_orders(bcs, orders)
+    return ClosednessReport(True) if _rank_closed(bcs.constraints, ranks) else _scan_closure(
+        enumerate(bcs.constraints), {v: _max_table(r) for v, r in ranks.items()})
 
 
-def _join_tables(bcs: Bcs, joins: JoinFamily) -> dict[str, list[list[int]]]:
-    """The join tables over domain positions, once the label tables are
-    checked to cover all variables and satisfy the semilattice axioms;
-    raises an input error naming the failed axiom.
-
-    Associativity is tested in O(d^2) per variable. Let up[a] be the set of
-    b with T(a, b) = b. An idempotent, commutative T is associative exactly
-    when up[T(a, b)] = up[a] & up[b] for all a and b: that makes b in up[a]
-    a partial order and T(a, b) the least upper bound of a and b. Only when
-    the test fails are the triples scanned, to name the first that fails."""
-    tables = {}
+def _join_tables(bcs: Bcs, joins: JoinFamily) -> tuple[dict, dict[str, list[int]]]:
+    """The join tables over domain positions and the ranks of the chains among
+    them, once the label tables cover all variables and satisfy the axioms of
+    a semilattice; raises an input error naming the first failure, reading
+    cells one by one only to word it. A table is a chain's when it equals the
+    max table of the ranks #{b : T(a, b) = a} - 1. Otherwise associativity is
+    tested in O(d^2). Let up[a] be the set of b with T(a, b) = b. An
+    idempotent, commutative T is associative exactly when up[T(a, b)] =
+    up[a] & up[b] for all a and b: that makes b in up[a] a partial order and
+    T(a, b) the least upper bound of a and b. Only when the test fails are
+    the triples scanned, to name the first that fails."""
+    if not isinstance(joins, Mapping):
+        raise InputError("joins are not a mapping")
+    tables, ranks = {}, {}
     for v in bcs.variables:
         if v.id not in joins:
             raise InputError(f"no join operator supplied for variable {v.id!r}")
-        table, dom = joins[v.id], v.domain
+        table, dom, name = joins[v.id], v.domain, f"join table for {v.id!r}"
         if not isinstance(table, Mapping):
-            raise InputError(f"join table for {v.id!r} is not a mapping")
+            raise InputError(f"{name} is not a mapping")
         pos = {a: i for i, a in enumerate(dom)}
-        t = tables[v.id] = [[0] * len(dom) for _ in dom]
-        for (i, a), (j, b) in itertools.product(enumerate(dom), repeat=2):
-            if (a, b) not in table:
-                raise InputError(f"join table for {v.id!r} is missing the pair ({a!r}, {b!r})")
-            try:
-                t[i][j] = pos[table[(a, b)]]
-            except (KeyError, TypeError):      # TypeError: an unhashable value
-                raise InputError(
-                    f"join table for {v.id!r} leaves the domain at ({a!r}, {b!r})") from None
+        try:
+            t = tables[v.id] = [[pos[table[a, b]] for b in dom] for a in dom]
+        except (KeyError, TypeError):      # TypeError: an unhashable value
+            for a, b in itertools.product(dom, repeat=2):
+                if (a, b) not in table:
+                    raise InputError(f"{name} is missing the pair ({a!r}, {b!r})") from None
+                if table[a, b] not in dom:
+                    raise InputError(f"{name} leaves the domain at ({a!r}, {b!r})") from None
+            raise
+        rank = [row.count(i) - 1 for i, row in enumerate(t)]
+        if sorted(rank) == list(range(len(dom))) and t == _max_table(rank):
+            ranks[v.id] = rank
+            continue
         for i, a in enumerate(dom):
             if t[i][i] != i:
                 raise InputError(f"idempotency fails for {v.id!r} at {a!r}")
@@ -147,7 +175,7 @@ def _join_tables(bcs: Bcs, joins: JoinFamily) -> dict[str, list[list[int]]]:
                 if t[t[i][j]][k] != t[i][t[j][k]]:
                     raise InputError(f"associativity fails for {v.id!r} at "
                                      f"({dom[i]!r}, {dom[j]!r}, {dom[k]!r})")
-    return tables
+    return tables, ranks
 
 
 def validate_join_family(bcs: Bcs, joins: JoinFamily) -> None:
@@ -158,14 +186,16 @@ def validate_join_family(bcs: Bcs, joins: JoinFamily) -> None:
 
 def is_join_closed(bcs: Bcs, joins: JoinFamily) -> ClosednessReport:
     """Check every constraint for closure under the supplied join operators."""
-    return _scan_closure(enumerate(bcs.constraints), _join_tables(bcs, joins))
+    tables, ranks = _join_tables(bcs, joins)
+    return ClosednessReport(True) if _rank_closed(bcs.constraints, ranks) else _scan_closure(
+        enumerate(bcs.constraints), tables)
 
 
 def joins_from_orders(bcs: Bcs, orders: VariableOrders) -> dict[str, dict[tuple[str, str], str]]:
     """Max operators of total orders, as join tables."""
-    tables = _check_orders(bcs, orders)
-    return {v.id: {(a, b): v.domain[k] for a, row in zip(v.domain, tables[v.id])
-                   for b, k in zip(v.domain, row)} for v in bcs.variables}
+    ranks = _check_orders(bcs, orders)
+    return {v.id: {(a, b): a if ra >= rb else b for a, ra in zip(v.domain, ranks[v.id])
+                   for b, rb in zip(v.domain, ranks[v.id])} for v in bcs.variables}
 
 
 def join_table_from_hasse(domain: Sequence[str],
@@ -215,11 +245,11 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
     if any(len(v.domain) > 6 for v in bcs.variables):
         warnings.warn("order search over domains larger than 6 may be very slow")
     n = len(bcs.variables)
-    by_last: dict[int, list[tuple[int, Correspondence]]] = {i: [] for i in range(n)}
-    for idx, c in enumerate(bcs.constraints):
-        by_last[max(bcs.index(c.source), bcs.index(c.target))].append((idx, c))
+    by_last: dict[int, list[Correspondence]] = {i: [] for i in range(n)}
+    for c in bcs.constraints:
+        by_last[max(bcs.index(c.source), bcs.index(c.target))].append(c)
 
-    tables: dict[str, list[list[int]]] = {}
+    ranks: dict[str, list[int]] = {}
     chosen: dict[str, tuple[str, ...]] = {}
 
     # stack[i] yields the untried orders of variable i in permutation order
@@ -231,9 +261,9 @@ def search_max_orders(bcs: Bcs) -> dict[str, tuple[str, ...]] | None:
         if perm is None:
             stack.pop()
             continue
-        tables[var.id] = _max_table(var.domain, perm)
+        ranks[var.id] = [perm.index(value) for value in var.domain]
         chosen[var.id] = perm
-        if _scan_closure(by_last[i], tables).closed:
+        if _rank_closed(by_last[i], ranks):
             if i + 1 == n:
                 return dict(chosen)
             stack.append(itertools.permutations(bcs.variables[i + 1].domain))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .assumptions import AssumptionSelection, build_assumption_bcs
 from .bcs import Bcs, Correspondence, Variable
-from .closedness import _check_orders, _join_tables, join_table_from_hasse
+from .closedness import _check_orders, _join_tables, _max_table, join_table_from_hasse
 from .errors import InputError
 from .games import NormalFormGame
 
@@ -321,7 +321,7 @@ def random_join_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
     for i in range(n_vars):
         dom, joins[f"X{i + 1}"] = random_semilattice(rng, max_domain)
         variables.append(Variable(f"X{i + 1}", dom))
-    tables = _join_tables(Bcs(tuple(variables), ()), joins)
+    tables, _ = _join_tables(Bcs(tuple(variables), ()), joins)
     return _random_closed_bcs(rng, variables, tables, density), joins
 
 
@@ -335,5 +335,5 @@ def random_max_closed_bcs(rng: random.Random, n_vars: int, max_domain: int,
         perm = list(dom)
         rng.shuffle(perm)
         orders[f"X{i + 1}"] = tuple(perm)
-    tables = _check_orders(Bcs(tuple(variables), ()), orders)
+    tables = {v: _max_table(r) for v, r in _check_orders(Bcs(tuple(variables), ()), orders).items()}
     return _random_closed_bcs(rng, variables, tables, density), orders

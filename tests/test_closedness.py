@@ -21,6 +21,7 @@ from oc_reason import (
     InputError,
     NormalFormGame,
     Preference,
+    Variable,
     build_assumption_bcs,
     csp_to_si_games,
     decide_si,
@@ -168,8 +169,12 @@ class TestJoinClosed:
                 "associativity fails for 'X' at ('a', 'a', 'b')")):
             validate_join_family(Bcs.create([("X", dom)]), {"X": table})
 
-    @pytest.mark.parametrize("query", ["check", "decide_si", "find_any_si"])
+    @pytest.mark.parametrize("query", ["check", "derive", "decide_si", "find_any_si"])
     @pytest.mark.parametrize("kind, certificate, message", [
+        ("orders", 5, "orders are not a mapping"),
+        ("orders", [("X", DOM2), ("Y", DOMY)], "orders are not a mapping"),
+        ("joins", ["X"], "joins are not a mapping"),
+        ("joins", "XY", "joins are not a mapping"),
         ("orders", {"X": (["x1"], "x2"), "Y": DOMY}, "order for 'X' is not a permutation"),
         ("orders", {"X": 5, "Y": DOMY}, "order for 'X' is not a permutation"),
         ("orders", {"X": DOM2, "Y": ("y1", {"y2"})}, "order for 'Y' is not a permutation"),
@@ -185,12 +190,21 @@ class TestJoinClosed:
         run = {
             "check": lambda: (is_max_closed if kind == "orders" else is_join_closed)(
                 bcs, certificate),
+            "derive": lambda: (joins_from_orders if kind == "orders" else validate_join_family)(
+                bcs, certificate),
             "decide_si": lambda: decide_si(bcs, "X", "Y", pref, mode=mode,
                                            **{kind: certificate}),
             "find_any_si": lambda: find_any_si(bcs, pref, mode=mode, **{kind: certificate}),
         }[query]
         with pytest.raises(InputError, match=re.escape(message)):
             run()
+
+    def test_no_family_is_input_error(self):
+        # decide_si and find_* read None as no certificate at all
+        for check, message in ((is_max_closed, "orders"), (joins_from_orders, "orders"),
+                               (is_join_closed, "joins"), (validate_join_family, "joins")):
+            with pytest.raises(InputError, match=f"{message} are not a mapping"):
+                check(crossing_bcs(), None)
 
     def test_equals_the_triple_scan(self):
         rng = random.Random(46)
@@ -271,6 +285,92 @@ class TestPositionTables:
             found.append(got)
         assert sum(f is None for f in found) >= 30
         assert sum(f is not None for f in found) >= 300
+
+
+class TestRankCheck:
+    """The rank check against the label-level scan on domains of 6-20
+    values, the sizes of the games-certified outcome sets."""
+
+    def test_reports_equal_the_label_scan(self):
+        rng = random.Random(51)
+        reports, rows = [], []
+        for _ in range(400):
+            bcs, orders = random_ranked_bcs(rng)
+            rows += [row for c in bcs.constraints for row in c.rows]
+            for certificate in (orders, shuffled_orders(rng, bcs)):
+                got = outcome(is_max_closed, bcs, certificate)
+                assert got == outcome(max_closed_reference, bcs, certificate)
+                assert outcome(is_join_closed, bcs, joins_from_orders(bcs, certificate)) == got
+                reports.append(got)
+        violated = [r for r in reports if not r.closed]
+        assert len(violated) >= 200 and len(reports) - len(violated) >= 200
+        assert sum(r.witness.source == r.witness.target for r in violated) >= 100
+        assert rows.count(0) >= len(rows) // 2
+        assert sum(row.bit_count() > 1 for row in rows) >= 500
+
+    def test_non_chain_joins_equal_the_label_scan(self):
+        rng = random.Random(52)
+        reports = []
+        for _ in range(300):
+            bcs, orders = random_ranked_bcs(rng)
+            joins = joins_from_orders(bcs, orders)
+            dom, table = random_semilattice(rng, 6)
+            x = rng.choice(bcs.variables).id
+            bcs = Bcs(tuple(Variable(x, dom) if v.id == x else v for v in bcs.variables),
+                      tuple(random_relation(rng, c.source, c.target, bcs, x, dom)
+                            for c in bcs.constraints))
+            joins[x] = table
+            got = outcome(is_join_closed, bcs, joins)
+            assert got == outcome(join_closed_reference, bcs, joins)
+            reports.append(got)
+        assert sum(not r.closed for r in reports) >= 50
+        assert sum(r.closed for r in reports) >= 50
+
+
+class TestPairScanCalls:
+    """The pair scan runs only where the rank check cannot decide: on a
+    violation, to name its witness, or on a semilattice that is no chain."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = closedness._scan_closure
+
+        def counted(constraints, tables):
+            calls.append(1)
+            return scan(constraints, tables)
+        monkeypatch.setattr(closedness, "_scan_closure", counted)
+        return calls
+
+    def test_closed_chain_certificates_never_scan(self, scans):
+        rng = random.Random(53)
+        for _ in range(30):
+            bcs, orders = random_max_closed_bcs(rng, rng.randint(2, 4), 6)
+            assert is_max_closed(bcs, orders).closed
+            assert is_join_closed(bcs, joins_from_orders(bcs, orders)).closed
+            assert search_max_orders(bcs) is not None
+        assert scans == []
+
+    def test_a_violation_scans_once(self, scans):
+        bcs, orders = crossing_bcs(), {"X": DOM2, "Y": DOMY}
+        assert is_max_closed(bcs, orders) == max_closed_reference(bcs, orders)
+        assert scans == [1]
+
+    @pytest.mark.parametrize("pairs, closed", [
+        ([("bot", "y1"), ("l", "y2"), ("top", "y2")], True),
+        ([("l", "y1"), ("r", "y2")], False),
+    ])
+    def test_diamond_still_scans(self, scans, pairs, closed):
+        dom = ("bot", "l", "r", "top")
+        diamond = join_table_from_hasse(dom, [("bot", "l"), ("bot", "r"), ("l", "top"),
+                                              ("r", "top")])
+        bcs = Bcs.create([("D", dom), ("Y", DOMY)],
+                         [Correspondence.from_pairs("D", "Y", dom, DOMY, pairs)])
+        joins = {"D": diamond, "Y": joins_from_orders(bcs, {"D": dom, "Y": DOMY})["Y"]}
+        got = is_join_closed(bcs, joins)
+        assert got.closed is closed
+        assert got == join_closed_reference(bcs, joins)
+        assert scans
 
 
 class TestHasseCompilation:
@@ -488,6 +588,45 @@ def with_self_loop(rng, bcs):
     constraints = list(bcs.constraints)
     constraints.insert(rng.randrange(len(constraints) + 1), loop)
     return Bcs(bcs.variables, tuple(constraints))
+
+
+def shuffled_orders(rng, bcs):
+    return {v.id: tuple(rng.sample(v.domain, len(v.domain))) for v in bcs.variables}
+
+
+def random_ranked_bcs(rng):
+    """Two to four variables of 6-20 values with random orders, and
+    relations that are max-closed under them: the pairwise maxima of up to
+    six random pairs, so sparse, with empty rows. Some relations are
+    self-loops, and some have one bit flipped."""
+    variables = [Variable(f"X{i}", tuple(f"v{j}" for j in range(rng.randint(6, 20))))
+                 for i in range(rng.randint(2, 4))]
+    orders = {v.id: tuple(rng.sample(v.domain, len(v.domain))) for v in variables}
+    rank = {v.id: {a: r for r, a in enumerate(orders[v.id])} for v in variables}
+    constraints = []
+    for _ in range(rng.randint(1, 5)):
+        x, y = rng.choice(variables), rng.choice(variables)
+        if rng.random() < 0.2:
+            y = x
+        pairs = [(rng.choice(x.domain), rng.choice(y.domain)) for _ in range(rng.randint(1, 6))]
+        top = {(max(a1, a2, key=rank[x.id].get), max(b1, b2, key=rank[y.id].get))
+               for a1, b1 in pairs for a2, b2 in pairs}
+        c = Correspondence.from_pairs(x.id, y.id, x.domain, y.domain, top)
+        if rng.random() < 0.15:
+            rows = list(c.rows)
+            rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(len(y.domain))
+            c = Correspondence(x.id, y.id, x.domain, y.domain, tuple(rows))
+        constraints.append(c)
+    return Bcs(tuple(variables), tuple(constraints)), orders
+
+
+def random_relation(rng, source, target, bcs, x, dom):
+    """A sparse random relation between two variables of `bcs`, where `x`
+    now has the domain `dom`."""
+    domain = {v.id: dom if v.id == x else v.domain for v in bcs.variables}
+    pairs = [(rng.choice(domain[source]), rng.choice(domain[target]))
+             for _ in range(rng.randint(0, 4))]
+    return Correspondence.from_pairs(source, target, domain[source], domain[target], pairs)
 
 
 def random_edge_list(rng):
