@@ -44,20 +44,21 @@ profiles, and a CSP encoding's 16-outcome variable games keep their 4
 diagonal outcomes.
 
 Every claim is decided by one rule, ``_decide``, which asks whether the
-structure plus the claim's complement has a solution. A satisfying
-assignment already known to violate the claim answers no. Otherwise the rule
-narrows the claim's pair by the complement, and an empty result answers yes
-in every mode. Propagation answers no there (``derivable``). The oracle is
-one walk, ``_walk``, that yields each solution and each dead end as it meets
-them. Exact mode walks a narrowed copy of the normalized store to its first
-solution (``implies``). Refutation walks a narrowed copy of the fixed
-point's store to its first event: until it first backtracks the walk is one
-polynomial greedy descent. Only at a dead end does refutation propagate the
-copy with the claim's pair alone queued, and then walk once more
-(``refuted``). ``path_consistency`` queues every pair of the normalized
-store. The worklist stops at the first relation it empties and empties the
-rest, which is the fixed point the full sweeps reach. A refutation asked
-once, with no fixed point to start from, is its definition:
+structure plus the claim's complement has a solution. It takes the claim's
+variable positions and rows packed at stride D (``_packed_claim``); an earlier
+witness, one value position per variable, that violates the claim answers no
+by one bit test. Otherwise the rule narrows the claim's pair by the
+complement, and an empty result answers yes in every mode. Propagation answers
+no there (``derivable``). The oracle is one walk, ``_walk``, that yields each
+solution and each dead end as it meets them. Exact mode walks a narrowed copy
+of the normalized store to its first solution (``implies``). Refutation walks
+a narrowed copy of the fixed point's store to its first event: until it first
+backtracks the walk is one polynomial greedy descent. Only at a dead end does
+refutation propagate the copy with the claim's pair alone queued, and then
+walk once more (``refuted``). ``path_consistency`` queues every pair of the
+normalized store. The worklist stops at the first relation it empties and
+empties the rest, which is the fixed point the full sweeps reach. A refutation
+asked once, with no fixed point to start from, is its definition:
 ``path_consistency`` of the structure plus the claim's complement.
 """
 
@@ -156,14 +157,12 @@ class Correspondence:
         return out
 
     def image(self, value: str) -> tuple[str, ...]:
-        i = self.source_domain.index(value)
-        row = self.rows[i]
+        row = self.rows[_label_position(self.source_domain, self.source, value)]
         return tuple(v for j, v in enumerate(self.target_domain) if row >> j & 1)
 
     def contains(self, x: str, y: str) -> bool:
-        i = self.source_domain.index(x)
-        j = self.target_domain.index(y)
-        return bool(self.rows[i] >> j & 1)
+        i = _label_position(self.source_domain, self.source, x)
+        return bool(self.rows[i] >> _label_position(self.target_domain, self.target, y) & 1)
 
     def is_everywhere_empty(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -177,6 +176,13 @@ class Correspondence:
         if (self.source_domain, self.target_domain) != (other.source_domain, other.target_domain):
             raise InputError("relations over different domains are not comparable")
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
+
+
+def _label_position(domain: tuple[str, ...], var: str, label: str) -> int:
+    try:
+        return domain.index(label)
+    except ValueError:
+        raise InputError(f"no value {label!r} in the domain of {var!r}") from None
 
 
 def _transpose_rows(rows: Sequence[int], n_target: int) -> tuple[int, ...]:
@@ -627,31 +633,36 @@ def _store(bcs: Bcs, mode: DecisionMode) -> _Store:
     return path_consistency(bcs)._store
 
 
-def _decide(bcs: Bcs, rel: _Store, claim: Correspondence, mode: DecisionMode,
-            witnesses: Iterable[Assignment] = ()) -> tuple[bool, Assignment | None]:
-    """Whether ``bcs`` implies the claim, as ``mode`` decides it on
-    ``rel = _store(bcs, mode)`` (see the module docstring), and the
-    satisfying assignment found to violate it, if any. ``witnesses`` are
-    satisfying assignments found earlier; ``rel`` is not changed."""
-    if any(not claim.contains(w[claim.source], w[claim.target]) for w in witnesses):
-        return False, None
+def _packed_claim(bcs: Bcs, claim: Correspondence) -> tuple[int, int, int]:
+    """A claim as :func:`_decide` takes it: two positions and packed rows."""
     if (bcs.domain(claim.source), bcs.domain(claim.target)) != \
             (claim.source_domain, claim.target_domain):
         raise InputError("claim domains do not match the structure")
-    x, y = bcs.index(claim.source), bcs.index(claim.target)
-    narrowed = rel[x][y] & ~_pack(claim.rows, bcs._stride)
+    return bcs.index(claim.source), bcs.index(claim.target), _pack(claim.rows, bcs._stride)
+
+
+def _decide(bcs: Bcs, rel: _Store, x: int, y: int, claim: int, mode: DecisionMode,
+            witnesses: Iterable[Sequence[int]] = ()) -> tuple[bool, Assignment | None]:
+    """Whether ``bcs`` implies ``claim``, packed from variable x to y (see
+    :func:`_packed_claim`), as ``mode`` decides it on ``rel = _store(bcs,
+    mode)``, and the solution found to violate it, if any. ``witnesses``,
+    earlier solutions, hold value positions; ``rel`` is not changed."""
+    stride = bcs._stride
+    if any(not claim >> w[x] * stride + w[y] & 1 for w in witnesses):
+        return False, None
+    narrowed = rel[x][y] & ~claim
     if not narrowed:
         return True, None
     if mode is DecisionMode.PROPAGATION:
         return False, None
     rel = [list(row) for row in rel]
-    _narrow(rel, x, y, narrowed, bcs._stride)
+    _narrow(rel, x, y, narrowed, stride)
     if mode is DecisionMode.EXACT:
         found = _search(bcs, rel, 1)
         return not found, found[0] if found else None
     witness = _descend(bcs, rel)
     if witness is None:
-        if _refute(rel, x, y, bcs._stride):
+        if _refute(rel, x, y, stride):
             return True, None
         witness = _descend(bcs, rel)
     return False, witness
@@ -659,13 +670,15 @@ def _decide(bcs: Bcs, rel: _Store, claim: Correspondence, mode: DecisionMode,
 
 def implies(bcs: Bcs, claim: Correspondence) -> bool:
     """Whether every satisfying assignment satisfies the claim (exact)."""
-    return _decide(bcs, _store(bcs, DecisionMode.EXACT), claim, DecisionMode.EXACT)[0]
+    return _decide(bcs, _store(bcs, DecisionMode.EXACT), *_packed_claim(bcs, claim),
+                   DecisionMode.EXACT)[0]
 
 
 def derivable(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     """Whether the claim follows syntactically from the propagation fixed
     point, i.e. the derived relation for the pair is inside the claim."""
-    return _decide(propagated.bcs, propagated._store, claim, DecisionMode.PROPAGATION)[0]
+    return _decide(propagated.bcs, propagated._store, *_packed_claim(propagated.bcs, claim),
+                   DecisionMode.PROPAGATION)[0]
 
 
 def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
@@ -677,7 +690,8 @@ def refuted(propagated: PropagatedBcs, claim: Correspondence) -> bool:
     fixed point empties every narrowed relation, and a solution found by
     descent keeps every relation non-empty.
     """
-    return _decide(propagated.bcs, propagated._store, claim, DecisionMode.REFUTATION)[0]
+    return _decide(propagated.bcs, propagated._store, *_packed_claim(propagated.bcs, claim),
+                   DecisionMode.REFUTATION)[0]
 
 
 def _refute(rel: _Store, x: int, y: int, stride: int) -> bool:

@@ -12,18 +12,19 @@ Every pair is decided by one rule, ``bcs._decide``, on the store its mode
 reads: the normalized store for exact mode, the path-consistency fixed point
 otherwise. Neither depends on the queried pair, so a ``find_*`` call builds
 its store once. Exact and refutation ``find_*`` keep every satisfying
-assignment they find: one that violates a later pair's claim answers no for
-it in both modes, as sound propagation cannot refute a satisfiable claim
-(claim-level witness sharing, Gottlob 2012). :func:`decide_si` answers one
-pair by the same rule, without witnesses, except in refutation mode, where
-it answers with ``path_consistency`` of the structure plus the claim's
-complement, from scratch (see its docstring).
+assignment they find, as value positions: one that violates a later pair's
+claim answers no for it in both modes, as sound propagation cannot refute a
+satisfiable claim (claim-level witness sharing, Gottlob 2012).
+:func:`decide_si` answers one pair by the same rule, without witnesses,
+except in refutation mode, where it answers with ``path_consistency`` of the
+structure plus the claim's complement, from scratch (see its docstring).
 
 A claim on x and y compares only the outcomes of x and y, so a preference is
 tabulated per ordered variable pair on first read (:class:`Preference`), not
 over every pair of outcomes of every game up front: one :func:`decide_si`
 call costs |x|·|y| comparisons for the weak claim and twice that for the
-strict one, while ``find_any_si`` reads every block, as eager tabulation did.
+strict one, while ``find_any_si`` reads every block, as eager tabulation did,
+and packs each claim from them without building a ``Correspondence``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ from .bcs import (
     _closure,
     _decide,
     _mutual,
+    _pack,
+    _packed_claim,
     _store,
+    _transpose,
     intersect,
     inverse,
     path_consistency,
@@ -234,12 +238,10 @@ def verify_certificate(bcs: Bcs, mode: DecisionMode,
     return True
 
 
-def _claim(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool) -> Correspondence:
-    bcs.var(x), bcs.var(y)
-    for var in (x, y):
+def _check_domains(bcs: Bcs, pref: Preference, *variables: str) -> None:
+    for var in variables:
         if pref.domains.get(var) != bcs.domain(var):
             raise InputError(f"preference domain for {var!r} does not match the structure")
-    return improvement_oc(x, y, pref, strict)
 
 
 def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
@@ -262,25 +264,34 @@ def decide_si(bcs: Bcs, x: str, y: str, pref: Preference, strict: bool = False,
     own fixed point, as the other modes and ``find_*`` do, would propagate
     twice.
     """
-    claim = _claim(bcs, x, y, pref, strict)
+    bcs.var(x), bcs.var(y)
+    _check_domains(bcs, pref, x, y)
+    claim = improvement_oc(x, y, pref, strict)
     certified = verify_certificate(bcs, mode, orders, joins)
     if mode is DecisionMode.REFUTATION:
         augmented = path_consistency(bcs.with_constraints([claim.complement()]))
         return SiVerdict(augmented.has_empty, mode, certified=certified)
-    yes, witness = _decide(bcs, _store(bcs, mode), claim, mode)
+    yes, witness = _decide(bcs, _store(bcs, mode), *_packed_claim(bcs, claim), mode)
     return SiVerdict(yes, mode, counterexample=witness, certified=certified)
 
 
 def _improving(bcs: Bcs, pairs, pref: Preference, strict: bool,
                mode: DecisionMode) -> list[tuple[str, str]]:
     """The pairs (x, y) whose y safely improves on x, in the given order,
-    decided on one store with the witnesses found for earlier pairs."""
-    found, witnesses = [], []
-    rel = _store(bcs, mode)
+    decided on one store with the witnesses found for earlier pairs, each
+    variable's preference domain checked when a pair first reads it."""
+    found, witnesses, checked = [], [], set()
+    rel, stride = _store(bcs, mode), bcs._stride
     for x, y in pairs:
-        yes, witness = _decide(bcs, rel, _claim(bcs, x, y, pref, strict), mode, witnesses)
+        if x not in checked or y not in checked:
+            _check_domains(bcs, pref, x, y)
+            checked.update((x, y))
+        claim = _pack(pref.block(x, y), stride)
+        if strict:
+            claim &= ~_transpose(_pack(pref.block(y, x), stride), stride)
+        yes, witness = _decide(bcs, rel, bcs.index(x), bcs.index(y), claim, mode, witnesses)
         if witness is not None:
-            witnesses.append(witness)
+            witnesses.append([v.domain.index(witness[v.id]) for v in bcs.variables])
         if yes:
             found.append((x, y))
     return found

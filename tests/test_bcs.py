@@ -39,6 +39,7 @@ from oc_reason.bcs import (
     _descend,
     _narrow,
     _pack,
+    _packed_claim,
     _refute,
     _relation_store,
     _search,
@@ -137,6 +138,22 @@ class TestAlgebra:
         assert set(inverse(phi).pairs()) == {(b, a) for a, b in phi.pairs()}
         ident = Correspondence.identity("X", DOM3)
         assert inverse(ident).rows == ident.rows
+
+    @pytest.mark.parametrize("read, message", [
+        (lambda phi: phi.contains("z", "p"), "no value 'z' in the domain of 'X'"),
+        (lambda phi: phi.contains("u", "z"), "no value 'z' in the domain of 'Y'"),
+        (lambda phi: phi.contains("z", "z"), "no value 'z' in the domain of 'X'"),
+        (lambda phi: phi.image("z"), "no value 'z' in the domain of 'X'"),
+        (lambda phi: phi.contains(["u"], "p"), "no value ['u'] in the domain of 'X'"),
+        (lambda phi: phi.contains("u", ["p"]), "no value ['p'] in the domain of 'Y'"),
+        (lambda phi: phi.image(["u"]), "no value ['u'] in the domain of 'X'"),
+    ])
+    def test_labels_outside_the_domains(self, read, message):
+        phi = rel("X", "Y", DOM3, ("p", "q"), [("u", "p"), ("w", "q")])
+        with pytest.raises(InputError, match=re.escape(message)):
+            read(phi)
+        assert phi.contains("u", "p") and not phi.contains("u", "q")
+        assert phi.image("w") == ("q",) and phi.image("v") == ()
 
 
 class TestBcsValidation:
@@ -587,7 +604,8 @@ class TestDecide:
                 x, y = rng.choice(b.variables), rng.choice(b.variables)
                 p = rng.choice((0.3, 0.7, 1.0))
                 claim = random_relation(rng, x.id, y.id, x.domain, y.domain, p=p)
-                got = {mode: _decide(b, rel, claim, mode) for mode, rel in stores.items()}
+                got = {mode: _decide(b, rel, *_packed_claim(b, claim), mode)
+                       for mode, rel in stores.items()}
                 expected = first_violation_reference(b, claim)
                 found = got[DecisionMode.EXACT][1]
                 assert got[DecisionMode.EXACT][0] == (expected is None)
@@ -616,18 +634,18 @@ class TestDecide:
 
     def test_a_violating_witness_answers_no_without_the_store(self):
         b = Bcs.create([("X", ("1", "2")), ("Y", ("1", "2"))])
-        witness = Assignment({"X": "1", "Y": "2"})
+        witness = (0, 1)    # X = "1", Y = "2", as value positions
         claim = rel("X", "Y", ("1", "2"), ("1", "2"), [("1", "1"), ("2", "1"), ("2", "2")])
         for mode in DecisionMode:
             # the store is not read: None in its place would raise
-            assert _decide(b, None, claim, mode, [witness]) == (False, None)
+            assert _decide(b, None, *_packed_claim(b, claim), mode, [witness]) == (False, None)
 
     def test_claims_are_checked(self):
         b = montanari_instance()
         foreign = Correspondence.full("X1", "Q", b.domain("X1"), ("1",))
         for mode in DecisionMode:
             with pytest.raises(InputError, match="unknown variable"):
-                _decide(b, _store(b, mode), foreign, mode)
+                _decide(b, _store(b, mode), *_packed_claim(b, foreign), mode)
         short = Correspondence.full("X1", "X2", ("1", "2"), b.domain("X2"))
         with pytest.raises(InputError, match="claim domains"):
             implies(b, short)
@@ -789,7 +807,7 @@ class TestPackedStore:
                     x, y = rng.choice(b.variables), rng.choice(b.variables)
                     claim = random_relation(rng, x.id, y.id, x.domain, y.domain, p=0.6)
                     copies.clear()
-                    _decide(b, rel, claim, mode)
+                    _decide(b, rel, *_packed_claim(b, claim), mode)
                     assert rel == before
                     for copy in copies:
                         assert copy is not rel

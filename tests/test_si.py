@@ -35,8 +35,9 @@ from oc_reason import (
 )
 from oc_reason import si
 from oc_reason.cli import main
-from oc_reason.fixtures import single_outcome_game
-from conftest import coloring_bcs, permuted_copy, planted_bcs, random_game, small_game
+from oc_reason.fixtures import single_outcome_game, stag_hunt_pair
+from conftest import (coloring_bcs, permuted_copy, planted_bcs, random_game, small_game,
+                      small_game_set)
 
 
 @pytest.fixture
@@ -597,6 +598,149 @@ def test_find_si_equals_decisions_on_planted_structures():
     assert min(decided.values()) >= 60
 
 
+def _workload_kind_structures():
+    """(kind, structure, preference, orders, joins) of the kinds the
+    benchmark queries, with the certificates it gives them: seeded
+    max-closed structures with their orders and the joins derived from them;
+    assumption structures over small 2- and 3-player game sets, the
+    stag-hunt pair with its decreasing-risk labeling in some, with the
+    orders of ``orders_for_assumptions`` and their joins, under a Pareto
+    preference (one player's on mixed player counts); and planted
+    structures, closed under no order, without certificates."""
+    rng = random.Random(65)
+    for _ in range(12):
+        bcs, orders = random_max_closed_bcs(rng, rng.randint(2, 7), 5)
+        yield "seeded", bcs, _random_pref(rng, bcs), orders, joins_from_orders(bcs, orders)
+    left, right, labeling = stag_hunt_pair()
+    for k in range(12):
+        games = small_game_set(rng, 2 + k % 2, (left, right, labeling))
+        risk = (labeling,) if left in games else ()
+        bcs = build_assumption_bcs(games, AssumptionSelection(
+            dominance=True, isomorphism=True, nash=True, decreasing_risk=risk))
+        orders = orders_for_assumptions(games, bcs)
+        pref = pareto_preference(games) if len({g.n_players for g in games}) == 1 else \
+            player_preference(games, 0)
+        yield "games", bcs, pref, orders, joins_from_orders(bcs, orders)
+    for n in (5, 6, 7, 8, 9):
+        bcs = planted_bcs(rng, n)
+        yield "planted", bcs, _random_pref(rng, bcs), None, None
+
+
+def test_find_si_equals_decide_si_on_workload_kind_structures():
+    # find_* pack each claim from the preference's blocks and answer pairs
+    # from position witnesses; decide_si builds each claim with
+    # improvement_oc and decides it alone
+    seen = collections.Counter()
+    for kind, bcs, pref, orders, joins in _workload_kind_structures():
+        names = [v.id for v in bcs.variables]
+        for mode in DecisionMode:
+            for strict in (False, True):
+                decided = [(x, y) for x, y in itertools.permutations(names, 2)
+                           if decide_si(bcs, x, y, pref, strict, mode).yes]
+                assert find_any_si(bcs, pref, strict, mode, orders, joins) == decided
+                for x in names:
+                    assert find_si_on(bcs, x, pref, strict, mode, orders, joins) == \
+                        [b for a, b in decided if a == x]
+                seen[kind, "yes"] += len(decided)
+                seen[kind, "no"] += len(names) * (len(names) - 1) - len(decided)
+    assert min(seen.values()) >= 50, seen
+
+
+class TestFindSiErrors:
+    """find_* check a variable's preference domain when a pair first reads
+    it, so errors come in the order of a check per pair: the first pair that
+    reads a mismatched variable names it, x before y, and a comparison that
+    raises on a block an earlier pair reads raises first."""
+
+    class Clash(Exception):
+        pass
+
+    @staticmethod
+    def structure():
+        return Bcs.create([(f"X{i}", ("a", "b", "c")) for i in range(1, 5)])
+
+    def pref(self, domains, clash=None):
+        # clash: (u, v) such that reading block(u, v) raises
+        def compare(a, b):
+            if (b[0], a[0]) == clash:
+                raise self.Clash(clash)
+            return a[1] >= b[1]
+        return Preference.from_relation(domains, compare)
+
+    @staticmethod
+    def domains(**changed):
+        domains = {f"X{i}": ("a", "b", "c") for i in range(1, 5)}
+        domains.update(changed)
+        return {var: dom for var, dom in domains.items() if dom is not None}
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_the_first_pair_that_reads_a_mismatch_names_it(self, strict):
+        bcs = self.structure()
+        cases = [
+            (self.domains(X3=("c", "b", "a"), X4=None), None, "X3"),
+            (self.domains(X3=("c", "b", "a"), X4=None), "X4", "X4"),
+            (self.domains(X3=("c", "b", "a"), X4=None), "X2", "X3"),
+            (self.domains(X1=("a", "b"), X2=None), None, "X1"),
+            (self.domains(X1=("a", "b"), X2=None), "X2", "X2"),
+            (self.domains(X2=("a", "b", "c", "d")), "X3", "X2"),
+        ]
+        for domains, on, named in cases:
+            pref = self.pref(domains)
+            message = re.escape(f"preference domain for {named!r} does not match the structure")
+            with pytest.raises(InputError, match=message):
+                if on is None:
+                    find_any_si(bcs, pref, strict)
+                else:
+                    find_si_on(bcs, on, pref, strict)
+
+    def test_a_comparison_read_first_raises_first(self):
+        bcs = self.structure()
+        mismatched = self.domains(X3=("c", "b", "a"))
+        mismatch = re.escape("preference domain for 'X3'")
+        # block(X1, X2) is the first pair's weak claim
+        for strict in (False, True):
+            with pytest.raises(self.Clash):
+                find_any_si(bcs, self.pref(mismatched, ("X1", "X2")), strict)
+        # block(X2, X1) is read for (X1, X2) only by the strict claim, and
+        # otherwise first for (X2, X1), after (X1, X3) reads the mismatch
+        with pytest.raises(self.Clash):
+            find_any_si(bcs, self.pref(mismatched, ("X2", "X1")), True)
+        with pytest.raises(InputError, match=mismatch):
+            find_any_si(bcs, self.pref(mismatched, ("X2", "X1")), False)
+        # find_si_on(X2) reads (X2, X1) before (X2, X3); a block of the
+        # mismatched variable is read only after its check
+        for strict in (False, True):
+            with pytest.raises(self.Clash):
+                find_si_on(bcs, "X2", self.pref(mismatched, ("X2", "X1")), strict)
+            with pytest.raises(InputError, match=mismatch):
+                find_si_on(bcs, "X2", self.pref(mismatched, ("X3", "X2")), strict)
+
+
+def test_find_any_si_builds_no_claim_correspondence(monkeypatch):
+    # the pair loop packs claims from the preference's blocks: no
+    # improvement_oc call and no Correspondence, whatever the mode
+    built, claims = [], []
+    post_init = Correspondence.__post_init__
+    monkeypatch.setattr(Correspondence, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(si, "improvement_oc",
+                        lambda *args: claims.append(args) or improvement_oc(*args))
+    queried = 0
+    for kind, bcs, pref, orders, joins in _workload_kind_structures():
+        if kind == "planted" and len(bcs.variables) > 6:
+            continue
+        for mode in DecisionMode:
+            for strict in (False, True):
+                built.clear()
+                find_any_si(bcs, pref, strict, mode, orders, joins)
+                assert (built, claims) == ([], [])
+                queried += 1
+    assert queried >= 100
+    # decide_si still builds its one claim as a Correspondence
+    decide_si(bcs, "X1", "X2", pref, True)
+    assert len(claims) == 1 and built
+
+
 def test_witnesses_spare_searches_and_propagations(monkeypatch):
     # replay each find_* call: every kept witness (a search's find, a
     # completed descent) satisfies the structure and violates the claim it
@@ -616,7 +760,14 @@ def test_witnesses_spare_searches_and_propagations(monkeypatch):
             return out
         monkeypatch.setattr(module, name, wrapper)
 
-    logged(si, "_claim")
+    decide = si._decide
+
+    def decided(bcs, rel, x, y, *args):
+        # a pair starts where find_* asks the rule about it
+        log.append(("_decide", (x, y)))
+        return decide(bcs, rel, x, y, *args)
+
+    monkeypatch.setattr(si, "_decide", decided)
     logged(bcs_module, "_search")
     logged(bcs_module, "_descend")
     logged(bcs_module, "_refute")
@@ -632,16 +783,17 @@ def test_witnesses_spare_searches_and_propagations(monkeypatch):
                               lambda: find_si_on(bcs, "X1", pref, strict, mode)):
                     log.clear()
                     query()
-                    _replay(bcs, log, counts)
+                    _replay(bcs, log, counts, pref, strict)
     assert counts["answered"] >= 500 and counts["searched"] >= 20
     assert counts["descended"] >= 20 and counts["propagated"] >= 5
 
 
-def _replay(bcs, log, counts):
+def _replay(bcs, log, counts, pref, strict):
     witnesses = []
-    starts = [i for i, (name, _) in enumerate(log) if name == "_claim"] + [len(log)]
+    starts = [i for i, (name, _) in enumerate(log) if name == "_decide"] + [len(log)]
     for start, end in zip(starts, starts[1:]):
-        claim = log[start][1]
+        x, y = (bcs.variables[i].id for i in log[start][1])
+        claim = improvement_oc(x, y, pref, strict)
         work = log[start + 1:end]
         if any(not claim.contains(w[claim.source], w[claim.target]) for w in witnesses):
             assert work == []
